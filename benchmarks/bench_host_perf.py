@@ -1,4 +1,4 @@
-"""Host wall-clock sweep: serial/fork/shm/threads backends + kernels.
+"""Host wall-clock sweep: serial/shm/threads backends + kernels.
 
 As a benchmark (``pytest benchmarks/bench_host_perf.py``) it runs the
 registered ``host_perf`` experiment at quick scale and asserts backend
@@ -19,9 +19,9 @@ results: with 4+ cpus (the CI runner size) shm and threads must reach
 SPICE loop; with 2-3 cpus both must break even (threads on both
 workloads); on a single core no speedup is physically possible, so
 parity is asserted plus one relative gate -- threads dispatch overhead
-must be strictly below fork's on the dense doall (threads pays no fork,
-no memory sync and no pickling, so losing to fork means the dispatch
-path regressed).
+must be strictly below shm's on the dense doall (threads pays no fork,
+no pipes and no state adoption, so losing to the process pool means the
+dispatch path regressed).
 
 One gate is CPU-independent: the certified-DOALL fast path must beat
 the full speculative pipeline by >= 2x on the dense doall (serial
@@ -69,12 +69,13 @@ def _check(result) -> list[str]:
     cpus = result.data["host"]["cpus"] or 1
     if cpus < 2:
         # No parallel speedup is possible, but the threads dispatch path
-        # must still be cheaper than fork's on the dense doall.
+        # must still be cheaper than the shm process pool's on the dense
+        # doall.
         dense = workloads["doall-dense"]["speedup"]
-        if dense["threads"] <= dense["fork"]:
+        if dense["threads"] <= dense["shm"]:
             problems.append(
                 f"threads dispatch overhead ({dense['threads']:.2f}x serial) "
-                f"is not below fork's ({dense['fork']:.2f}x) on doall-dense "
+                f"is not below shm's ({dense['shm']:.2f}x) on doall-dense "
                 "at 1 cpu"
             )
     for name, backend, floor in _speedup_gates(cpus):

@@ -4,9 +4,8 @@ Everything else in the benchmark suite reports *virtual* time from the
 cost model, which is bit-identical across execution backends by
 construction.  This experiment measures real host seconds instead:
 
-* the same workloads run under the ``serial``, ``fork``, ``shm`` and
-  ``threads`` backends (dense synthetic doall and the sparse SPICE LU
-  loop),
+* the same workloads run under the ``serial``, ``shm`` and ``threads``
+  backends (dense synthetic doall and the sparse SPICE LU loop),
   asserting along the way that all backends produce identical memory and
   identical virtual time -- a parity mismatch is reported in the table
   and trips the benchmark's assertion;
@@ -26,8 +25,8 @@ construction.  This experiment measures real host seconds instead:
   the same 5% CI budget.
 
 Parallel-backend speedup is bounded by the host's CPU count (recorded in
-the data); on a single-core host both out-of-process backends are
-expected to *lose* to serial by their dispatch overhead, and the numbers
+the data); on a single-core host both pool backends are expected to
+*lose* to serial by their dispatch overhead, and the numbers
 say so honestly.  The CI gate (``benchmarks/bench_host_perf.py``)
 conditions its speedup thresholds on the recorded CPU count for the same
 reason; parity is asserted unconditionally.
@@ -47,7 +46,7 @@ from repro.machine.memory import SharedArray, make_private_view
 from repro.workloads.spice import make_dcdcmp15_loop
 from repro.workloads.synthetic import fully_parallel_loop
 
-BACKENDS = ("serial", "fork", "shm", "threads")
+BACKENDS = ("serial", "shm", "threads")
 
 
 def _summary(result) -> dict:
@@ -307,10 +306,10 @@ def host_perf(quick: bool) -> ExperimentResult:
         # Best-of-5 floor even in quick mode: these speedups feed the
         # cross-commit history that `repro bench-trend --strict` gates at
         # a 10% threshold, and a single timed sample per backend wobbles
-        # well past that on a shared 1-cpu runner (the phantom fork
-        # doall-dense regression in docs/cost-model.md was exactly such
-        # an artifact).  Best-of minima are stable at this cost: ~4 s
-        # for the whole sweep at quick sizes.
+        # well past that on a shared 1-cpu runner (the phantom doall-dense
+        # regression in docs/cost-model.md was exactly such an artifact).
+        # Best-of minima are stable at this cost: ~4 s for the whole sweep
+        # at quick sizes.
         entry.update(_time_backends(make_loop, n_procs, max(repeats, 5)))
         sweep.append(entry)
         seconds, speedup = entry["seconds"], entry["speedup"]
@@ -399,13 +398,11 @@ def host_perf(quick: bool) -> ExperimentResult:
         title="Host wall-clock: execution backends and vectorized commit",
         table="\n".join(rows),
         expectation=(
-            "All four backends agree bit-for-bit on memory and virtual "
-            "time; shm beats fork everywhere (no pickled views or memory "
-            "diffs); threads beats fork's dispatch even on one core (no "
-            "fork, no sync, no pickling) and beats serial once the host "
-            "has cores to spend (>= 1.5x on the dense doall at 4 cpus), "
-            "while the out-of-process backends lose to serial on a "
-            "single core; the "
+            "All three backends agree bit-for-bit on memory and virtual "
+            "time; threads beats shm's dispatch even on one core (no "
+            "fork, no pipes, no state adoption) and beats serial once the "
+            "host has cores to spend (>= 1.5x on the dense doall at 4 "
+            "cpus), while both pools lose to serial on a single core; the "
             "vectorized commit copy-out beats the per-element loop by well "
             "over 3x at dense sizes; every vectorized kernel primitive "
             "beats its pure-Python scalar reference; the certified-DOALL "

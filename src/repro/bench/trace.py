@@ -17,7 +17,8 @@ def render_stage_trace(result: RunResult) -> str:
     """One row per stage: schedule, outcome, commit progress, span.
 
     Runs examined by the certification front-end carry a leading
-    ``certificate:`` line with the verdict and its evidence basis.
+    ``certificate:`` line with the verdict and its evidence basis, marked
+    advisory when the certificate did not pick the strategy.
     """
     rows = []
     for s in result.stages:
@@ -47,7 +48,8 @@ def render_stage_trace(result: RunResult) -> str:
         ),
     )
     if result.certificate is not None:
-        table = f"certificate: {result.certificate.describe()}\n{table}"
+        mode = "" if result.certificate_acted else " (advisory, not acted on)"
+        table = f"certificate{mode}: {result.certificate.describe()}\n{table}"
     return table
 
 

@@ -121,6 +121,9 @@ def render_trend(
     One table per ``(cpus, gil)`` host group, columns in history order
     (oldest left).  The ``change`` column compares the two newest
     measurements of each row; drops beyond ``threshold`` are flagged.
+    Rows the group's newest entry no longer measures (a retired backend)
+    keep their history but get no change: their last two values are old
+    news, not this run's regression.
     """
     if not history:
         return "history is empty; run benchmarks/bench_host_perf.py --out first"
@@ -148,7 +151,7 @@ def render_trend(
         for (wl, backend), values in sorted(rows_by_pair.items()):
             cells = [f"{v:.2f}x" if v is not None else "-" for v in values]
             present = [v for v in values if v is not None]
-            if len(present) >= 2 and present[-2]:
+            if values[-1] is not None and len(present) >= 2 and present[-2]:
                 change = present[-1] / present[-2] - 1.0
                 verdict = f"{change:+.1%}"
                 if change < -threshold:

@@ -7,31 +7,28 @@ exploits that: the :class:`StageEngine` hands the stage's blocks to a
 backend as :class:`BlockTask` descriptors and receives :class:`BlockOutcome`
 objects back, without caring *where* the blocks ran.
 
-Four backends are provided:
+Three backends are provided:
 
 * ``serial`` (the default) executes blocks one after another in-process,
   exactly the pre-backend behavior.
+* ``shm`` (:mod:`repro.core.shm`, registered lazily) runs a persistent
+  pool of forked worker processes over a zero-copy shared-memory data
+  plane, the paper's shared-memory multiprocessor setting: the memory
+  image and the dense private views/shadow bit planes live in shared
+  segments, and the pipes carry only struct-packed task descriptors and
+  outcome headers.
 * ``threads`` (:mod:`repro.core.threads`, registered lazily) runs a
   persistent pool of worker *threads* directly against the engine's own
-  processor states and shared memory -- no fork, no memory diff-sync, no
-  pipes, no pickling.  The hot loops are GIL-releasing
-  :mod:`repro.kernels` calls (and truly concurrent on free-threaded
-  CPython builds); only folded charges, metrics snapshots and untested
-  captures travel through the per-worker queues, merged in block order.
-* ``shm`` (:mod:`repro.core.shm`, registered lazily) runs forked workers
-  over a zero-copy shared-memory data plane: the memory image and the
-  dense private views/shadow bit planes live in shared segments, and the
-  pipes carry only struct-packed task descriptors and outcome headers.
-* ``fork`` dispatches the blocks to a persistent pool of forked worker
-  processes.  Each worker runs :func:`~repro.core.executor.execute_block`
-  against its own fresh :class:`~repro.core.executor.ProcessorState` and
-  ships back a compact :class:`_BlockDelta` -- written private-view
-  entries, packed shadow bit planes, reduction partials, per-iteration
-  times, folded per-category timeline charges, untested-write sets and the
-  fault/exit outcome.  The parent merges deltas **in block order**, so
-  results, events and virtual-time accounting are bit-identical to serial
-  execution (enforced by running the golden parity suite under both
-  backends).
+  processor states and shared memory -- no fork, no pipes, no pickling.
+  The hot loops are GIL-releasing :mod:`repro.kernels` calls (and truly
+  concurrent on free-threaded CPython builds).
+
+Both pools report each block as a :class:`BlockDelta` -- folded
+per-category timeline charges, a metrics snapshot, untested-write
+captures and the fault/exit outcome -- and :func:`fold_delta` replays
+those **in block order**, so results, events and virtual-time accounting
+are bit-identical to serial execution (enforced by running the golden
+parity suite under every backend).
 
 Bit-exactness rests on two invariants the engine's strategies uphold:
 
@@ -50,53 +47,25 @@ straggler slowdown and fail-stop point before dispatch (workers carry no
 injector), which matches serial query-time state because processors
 marked dead are never scheduled again.
 
-The fork pool uses the ``fork`` start method so workers inherit the loop
-closure and cost model; only tasks, memory updates and deltas cross the
-pipes.  Worker shared memory is kept in sync by broadcasting the contents
-of arrays that changed since the last dispatch (commits, restores,
-reinitializations all funnel through parent memory, so a diff against the
-last synced snapshot catches every mutation without instrumentation).
-
-Both out-of-process backends run every dispatch under a
-:class:`~repro.core.supervise.WorkerSupervisor`: a SIGKILLed, OOM-killed
-or wedged worker is detected (process sentinel / dispatch deadline),
-reaped and replaced by a fresh fork, and its blocks are re-dispatched --
-bit-identically, because deltas merge only after *all* replies arrive, so
-the parent carries no trace of the killed attempt.  When the pool is
-beyond repair the supervisor raises
-:class:`~repro.core.supervise.PoolDegradation` and the engine falls back
-down the shm -> fork -> serial chain.  The backend hooks the supervisor
-drives are ``_spawn_worker`` / ``_send_share`` / ``_recv_share`` /
-``_recover_shared_state`` / ``_halt_workers``, which is also exactly the
-surface :class:`~repro.core.shm.ShmBackend` overrides to reuse this
-module's ``run_blocks`` verbatim.
+A pool that is beyond repair raises
+:class:`~repro.core.supervise.PoolDegradation` and the engine finishes the
+run on ``serial``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
-import pickle
-import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.executor import (
-    execute_block,
-    make_all_private_state,
-    make_plain_state,
-    make_processor_state,
-)
-from repro.core.supervise import WorkerSupervisor
+from repro.core.executor import execute_block, make_all_private_state
 from repro.errors import BackendError, ConfigurationError
-from repro.obs.oplog import get_oplog
 from repro.kernels import get_kernels
 from repro.machine.checkpoint import CheckpointManager
-from repro.machine.memory import MemoryImage, SharedArray
+from repro.machine.memory import MemoryImage
 from repro.machine.timeline import Category
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY
 from repro.util.blocks import Block
 
 # -- default-backend selection ---------------------------------------------------
@@ -126,7 +95,7 @@ def set_default_backend(name: str) -> None:
 def use_backend(name: str):
     """Scope the default backend: every run started inside the ``with``
     whose config leaves ``backend=None`` uses ``name``.  Lets existing
-    entry points (and the golden parity suite) run under the fork backend
+    entry points (and the golden parity suite) run under a pool backend
     without threading a parameter through every call."""
     previous = _default_backend
     set_default_backend(name)
@@ -163,7 +132,7 @@ class BlockTask:
     """Certified fast path (:mod:`repro.core.fastpath`): run on a plain
     processor state with no views and no shadows, so every access takes
     the direct-shared-memory path -- no marking, no copy-in, no
-    checkpoint charges.  Out-of-process workers still capture the
+    checkpoint charges.  Pool workers still capture the
     written ``(indices, values)`` through a charge-free
     :class:`_CaptureCheckpoint` so direct writes ship back to the
     parent (and roll back under cancellation) exactly like untested
@@ -173,7 +142,7 @@ class BlockTask:
     slowdown: float = 1.0
     death: tuple[int, bool] | None = None
     collect_metrics: bool = False
-    """Accumulate a metrics snapshot for this block (fork workers use a
+    """Accumulate a metrics snapshot for this block (pool workers use a
     private registry, shipped back in the delta)."""
     collect_spans: bool = False
     """Measure per-block host/virtual timings for the span layer."""
@@ -287,53 +256,76 @@ class SerialBackend(ExecutionBackend):
         return outcomes
 
 
-# -- the fork backend -------------------------------------------------------------
+# -- pool-backend helpers ---------------------------------------------------------
 
 
 @dataclass
-class _BlockDelta:
-    """Everything a worker ships back about one executed block."""
+class BlockDelta:
+    """The order-sensitive residue a pool worker reports about one block.
+
+    Everything else a block produces either landed in its final location
+    during execution (threads: the engine's own states; shm: adopted
+    shared buffers) or is backend-specific payload the backend folds
+    itself after :func:`fold_delta`.
+    """
 
     pos: int
     charges: list[tuple[Category, float]]
+    """Per-category charge sums, in first-appearance order."""
     fault: str | None = None
     fault_permanent: bool = False
     exit_iteration: int | None = None
     inductions: dict[str, int] = field(default_factory=dict)
-    views: dict[str, object] = field(default_factory=dict)
-    shadows: dict[str, object] = field(default_factory=dict)
-    partials: dict[str, dict[int, object]] = field(default_factory=dict)
-    iter_times: dict[int, float] = field(default_factory=dict)
-    iter_work: dict[int, float] = field(default_factory=dict)
     untested: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    """Captured untested (or plain direct) writes: ``(indices, values)``."""
     untested_reads: list[tuple[str, int]] = field(default_factory=list)
     untested_writes: list[tuple[str, int]] = field(default_factory=list)
-    marklists: dict | None = None
     metrics: dict | None = None
     """Snapshot of the worker's private registry (``collect_metrics``)."""
     host_start: float = 0.0
-    """Absolute ``perf_counter`` at block start (``collect_spans``); the
-    parent rebases it onto the run clock -- comparable across fork on
-    POSIX, where ``perf_counter`` is the system-wide monotonic clock."""
+    """Absolute ``perf_counter`` at block start (``collect_spans``),
+    comparable across fork on POSIX (system-wide monotonic clock)."""
     host_dur: float = 0.0
     virt_dur: float = 0.0
 
 
-@dataclass
-class _WorkerFailure:
-    traceback: str
+def fold_delta(eng, task: BlockTask, delta: BlockDelta) -> BlockOutcome:
+    """Replay one block's delta into the engine; callers go in block order.
 
-
-class _WorkerContext:
-    """Per-worker immutable-ish context, inherited through fork."""
-
-    def __init__(self, loop, costs, memory, ckpt_names, on_demand, reduction_names):
-        self.loop = loop
-        self.costs = costs
-        self.memory = memory
-        self.ckpt_names = ckpt_names
-        self.on_demand = on_demand
-        self.reduction_names = reduction_names
+    The shared head of every pool backend's merge: charge replay, metrics
+    merge, outcome construction, span rebase, then the untested writes
+    (through the parent's checkpoint manager, so rollback sees the serial
+    write history) and the self-check access log.
+    """
+    machine = eng.machine
+    block = task.block
+    proc = block.proc
+    for category, amount in delta.charges:
+        machine.charge(proc, category, amount)
+    if delta.metrics is not None:
+        machine.metrics.merge(delta.metrics)
+    outcome = BlockOutcome(
+        pos=task.pos, block=block, fault=delta.fault,
+        fault_permanent=delta.fault_permanent,
+        exit_iteration=delta.exit_iteration,
+        inductions=delta.inductions,
+    )
+    if task.collect_spans:
+        # Worker clocks are absolute perf_counter readings; rebase onto
+        # the engine's run-relative host clock.
+        outcome.host_start = eng.rebase_host(delta.host_start)
+        outcome.host_dur = delta.host_dur
+        outcome.virt_dur = delta.virt_dur
+    for name, (indices, values) in delta.untested.items():
+        if eng.ckpt is not None:
+            eng.ckpt.note_write_many(proc, name, indices)
+        get_kernels().scatter(machine.memory[name].data, indices, values)
+    if eng.untested_log is not None:
+        for name, index in delta.untested_reads:
+            eng.untested_log.note_read(proc, name, index)
+        for name, index in delta.untested_writes:
+            eng.untested_log.note_write(proc, name, index)
+    return outcome
 
 
 class _ChargeLog:
@@ -353,6 +345,16 @@ class _ChargeLog:
     def charge(self, proc: int, category: Category, amount: float) -> None:
         if amount:
             self.charges.append((category, amount))
+
+    def folded(self) -> list[tuple[Category, float]]:
+        """Per-category sums in first-appearance order: with one block
+        per processor per stage, replaying them (:func:`fold_delta`)
+        yields the floats and ``per_proc`` dict layout a serial run
+        accumulates."""
+        sums: dict[Category, float] = {}
+        for category, amount in self.charges:
+            sums[category] = sums.get(category, 0.0) + amount
+        return list(sums.items())
 
 
 def check_unique_procs(name: str, tasks: list[BlockTask]) -> None:
@@ -409,6 +411,26 @@ class _CaptureCheckpoint(CheckpointManager):
         return 0
 
 
+def capture_untested(
+    ckpt: CheckpointManager, memory: MemoryImage, proc: int
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The ``(indices, values)`` a worker's block wrote under its local
+    checkpoint, after which those writes are rolled back.
+
+    The merge replays them through the parent's checkpoint manager
+    (:func:`fold_delta`), which must read the pre-stage values as "old"
+    for stage rollback to see the serial write history -- so memory has
+    to hold those values again by the time the delta is folded.
+    """
+    untested = {}
+    for name, indices in ckpt.modified_by([proc]).items():
+        if indices:
+            idx = np.asarray(indices, dtype=np.int64)
+            untested[name] = (idx, get_kernels().gather(memory[name].data, idx))
+    ckpt.restore_failed([proc])
+    return untested
+
+
 def make_capture_checkpoint(memory: MemoryImage) -> _CaptureCheckpoint:
     """Charge-free capture checkpoint over *every* array of ``memory``
     (plain tasks write shared memory directly, so any array may need
@@ -432,445 +454,6 @@ class _AccessRecorder:
 
     def note_write(self, proc: int, name: str, index: int) -> None:
         self.writes.add((name, index))
-
-
-def _run_worker_task(wctx: _WorkerContext, task: BlockTask) -> _BlockDelta:
-    log = _ChargeLog(wctx.memory, wctx.costs)
-    if task.collect_metrics:
-        log.metrics = MetricsRegistry()
-    block = task.block
-    recorder = None
-    ckpt = None
-    if task.all_private:
-        state = make_all_private_state(log, wctx.loop, block.proc)
-    elif task.plain:
-        state = make_plain_state(block.proc)
-        ckpt = make_capture_checkpoint(wctx.memory)
-        if task.log_untested:
-            recorder = _AccessRecorder()
-    else:
-        state = make_processor_state(log, wctx.loop, block.proc)
-        if wctx.ckpt_names:
-            ckpt = CheckpointManager(wctx.memory, wctx.ckpt_names, wctx.on_demand)
-            ckpt.begin_stage()
-        if task.log_untested:
-            recorder = _AccessRecorder()
-        if task.preload:
-            state.preload(log, skip=wctx.reduction_names)
-    # Span window matches the serial backend's: execute_block only, after
-    # any preload, so host/virtual block durations are comparable.
-    charges_before = len(log.charges)
-    host_before = time.perf_counter() if task.collect_spans else 0.0
-    ctx = execute_block(
-        log, wctx.loop, state, block, ckpt,
-        inductions=task.inductions, marklists=task.marklists,
-        stage=task.stage, untested_log=recorder,
-        slowdown=task.slowdown, death=task.death,
-    )
-    charges: dict[Category, float] = {}
-    for category, amount in log.charges:
-        charges[category] = charges.get(category, 0.0) + amount
-    delta = _BlockDelta(
-        pos=task.pos,
-        charges=list(charges.items()),
-        fault=ctx.fault,
-        fault_permanent=ctx.fault_permanent,
-        exit_iteration=ctx.exit_iteration,
-        inductions=ctx.induction_values(),
-    )
-    if task.collect_metrics:
-        delta.metrics = log.metrics.snapshot()
-    if task.collect_spans:
-        delta.host_start = host_before
-        delta.host_dur = time.perf_counter() - host_before
-        delta.virt_dur = sum(
-            amount for _, amount in log.charges[charges_before:]
-        )
-    if task.all_private:
-        return delta
-    delta.views = {
-        name: view.export_written()
-        for name, view in state.views.items()
-        if view.n_written()
-    }
-    delta.shadows = {
-        name: shadow.export_marks()
-        for name, shadow in state.shadows.items()
-        if not shadow.is_clear()
-    }
-    delta.partials = {name: dict(p) for name, p in state.partials.items() if p}
-    delta.iter_times = dict(state.iter_times)
-    delta.iter_work = dict(state.iter_work)
-    if ckpt is not None:
-        for name, indices in ckpt.modified_by([block.proc]).items():
-            if indices:
-                idx = np.asarray(indices, dtype=np.int64)
-                delta.untested[name] = (idx, get_kernels().gather(wctx.memory[name].data, idx))
-        # Undo this block's untested writes locally: the worker's memory
-        # must stay equal to the last parent broadcast, else rolled-back
-        # stages would leave stale values behind the parent's sync diff.
-        ckpt.restore_failed([block.proc])
-    if recorder is not None:
-        delta.untested_reads = sorted(recorder.reads)
-        delta.untested_writes = sorted(recorder.writes)
-    if task.marklists is not None:
-        delta.marklists = task.marklists
-    return delta
-
-
-def _worker_main(conn, wctx: _WorkerContext) -> None:  # pragma: no cover - child
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                return
-            payload, tasks = message
-            if payload:
-                for name, update in pickle.loads(payload).items():
-                    data = wctx.memory[name].data
-                    if isinstance(update, tuple):
-                        indices, values = update
-                        data[indices] = values
-                    else:
-                        data[:] = update
-            conn.send([_run_worker_task(wctx, task) for task in tasks])
-    except (EOFError, KeyboardInterrupt):
-        return
-    except BaseException:
-        try:
-            conn.send(_WorkerFailure(traceback.format_exc()))
-        except Exception:
-            pass
-
-
-class ForkBackend(ExecutionBackend):
-    """Dispatch a stage's blocks to a persistent forked worker pool."""
-
-    name = "fork"
-
-    #: Worker entry point (overridden by the shm backend).
-    _worker_target = staticmethod(_worker_main)
-
-    def __init__(self, eng) -> None:
-        super().__init__(eng)
-        self._workers: list | None = None
-        self._last_sync: dict[str, np.ndarray] = {}
-        self._wctx = None
-        self._mp_ctx = None
-        self._updates: dict = {}
-        self._updates_bytes: bytes = b""
-        self._supervisor: WorkerSupervisor | None = None
-
-    def _make_wctx(self):
-        """Build the context workers inherit through fork (hook)."""
-        eng = self.eng
-        memory = eng.machine.memory
-        self._last_sync = {
-            name: memory[name].data.copy() for name in memory.names()
-        }
-        return _WorkerContext(
-            loop=eng.loop,
-            costs=eng.machine.costs,
-            memory=MemoryImage(
-                SharedArray(name, memory[name].data) for name in memory.names()
-            ),
-            ckpt_names=eng.ckpt.names if eng.ckpt is not None else [],
-            on_demand=eng.config.on_demand_checkpoint,
-            reduction_names=eng.reduction_names,
-        )
-
-    def _ensure_workers(self) -> None:
-        if self._workers is not None:
-            return
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            raise ConfigurationError(
-                f"the {self.name} execution backend needs the 'fork' start "
-                "method (POSIX only); use backend='serial' on this platform"
-            )
-        eng = self.eng
-        n_workers = eng.config.backend_workers or min(
-            eng.n_procs, os.cpu_count() or 1
-        )
-        n_workers = max(1, min(n_workers, eng.n_procs))
-        self._wctx = self._make_wctx()
-        self._mp_ctx = mp.get_context("fork")
-        workers = []
-        try:
-            for _ in range(n_workers):
-                workers.append(self._spawn_worker())
-        except BaseException:
-            for process, conn in workers:
-                conn.close()
-                process.terminate()
-            raise
-        self._workers = workers
-        get_oplog().log(
-            "backend", "pool-started", backend=self.name,
-            workers=len(workers),
-            pids=[process.pid for process, _ in workers],
-        )
-
-    def _spawn_worker(self):
-        """Fork one worker from the saved context.
-
-        Initial pool fill and supervised respawn share this path.  A
-        respawn forks from the parent's *current* address space; the
-        inherited ``wctx`` arrays are pool-build-time copies, so the
-        supervisor's re-dispatch uses the full-sync ``fresh`` send to
-        bring the replacement up to the dispatch-time broadcast state.
-        """
-        parent_conn, child_conn = self._mp_ctx.Pipe()
-        process = self._mp_ctx.Process(
-            target=self._worker_target, args=(child_conn, self._wctx),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return process, parent_conn
-
-    # -- supervision hooks -------------------------------------------------------
-
-    def _begin_dispatch(self, tasks: list[BlockTask]) -> None:
-        """Per-dispatch setup before shares are sent (hook).
-
-        The memory-update broadcast is pickled **once** here and the same
-        frame reused for every worker's send: re-serializing identical
-        array payloads per share was a measurable slice of fork dispatch
-        (see docs/cost-model.md on the spice15-sparse regression)."""
-        self._updates = self._memory_updates()
-        self._updates_bytes = (
-            pickle.dumps(self._updates, protocol=pickle.HIGHEST_PROTOCOL)
-            if self._updates else b""
-        )
-
-    def _send_share(self, k: int, share: list[BlockTask], fresh: bool) -> None:
-        """Send worker ``k`` its share.  ``fresh`` marks a respawned
-        worker, which needs the full memory image instead of the diff."""
-        _, conn = self._workers[k]
-        if fresh:
-            memory = self.eng.machine.memory
-            payload = pickle.dumps(
-                {name: memory[name].data.copy() for name in memory.names()},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        else:
-            payload = self._updates_bytes
-        conn.send((payload, share))
-
-    def _recv_share(self, k: int, share: list[BlockTask]):
-        """Receive worker ``k``'s reply; a worker-raised exception becomes
-        a :class:`BackendError` carrying the worker's full context."""
-        _, conn = self._workers[k]
-        reply = conn.recv()
-        if isinstance(reply, _WorkerFailure):
-            raise BackendError(
-                f"{self._share_context(k, share)} raised:\n{reply.traceback}",
-                loop=self.eng.loop.name,
-            )
-        return reply
-
-    def _share_context(self, k: int, share: list[BlockTask]) -> str:
-        """Identify one worker and its in-flight work, for error messages."""
-        process, _ = self._workers[k]
-        if share:
-            where = (
-                f"stage {share[0].stage} blocks {[t.pos for t in share]} "
-                f"(procs {[t.block.proc for t in share]})"
-            )
-        else:
-            where = "an empty share"
-        return f"{self.name} backend worker {k} (pid {process.pid}) executing {where}"
-
-    def _recover_shared_state(self, procs: list[int]) -> None:
-        """Roll state a lost worker may have dirtied back to its
-        dispatch-time contents (hook).  Fork workers write only their own
-        copy-on-write address space, so there is nothing to undo."""
-
-    def _halt_workers(self) -> None:
-        """Kill the whole pool immediately (degradation path): live
-        workers may still be executing and must stop before shared state
-        is rolled back and the pool abandoned."""
-        if self._workers is None:
-            return
-        workers, self._workers = self._workers, None
-        get_oplog().log(
-            "backend", "pool-halted", severity="warn", backend=self.name,
-            workers=len(workers),
-        )
-        for process, _ in workers:
-            if process.is_alive():
-                process.kill()
-        for process, conn in workers:
-            process.join(timeout=5.0)
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already broken
-                pass
-
-    #: Ship a sparse ``(indices, values)`` diff instead of the whole array
-    #: when at most this fraction of its elements changed since the last
-    #: broadcast.  Sparse-commit workloads (the spice LU loops) touch a
-    #: few hundred elements of multi-thousand-element arrays per stage;
-    #: full-array pickling made fork dispatch cost more than the whole
-    #: serial stage (the 0.38x spice15-sparse regression).
-    _SPARSE_SYNC_FRACTION = 0.25
-
-    def _memory_updates(self) -> dict:
-        """Per-array changes since the last broadcast (commit/restore/init):
-        either a full copy or a sparse ``(indices, values)`` pair the
-        worker scatters into its image.
-
-        Elementwise ``!=`` treats NaN as changed, so NaN elements re-ship
-        every stage -- wasteful but correct (and now per-element, not
-        per-array).
-        """
-        memory = self.eng.machine.memory
-        updates: dict = {}
-        for name in memory.names():
-            data = memory[name].data
-            last = self._last_sync.get(name)
-            if last is None or last.shape != data.shape or data.ndim != 1:
-                if last is None or not np.array_equal(last, data):
-                    updates[name] = data.copy()
-                    self._last_sync[name] = updates[name]
-                continue
-            changed = last != data
-            n_changed = int(np.count_nonzero(changed))
-            if not n_changed:
-                continue
-            if n_changed > self._SPARSE_SYNC_FRACTION * data.size:
-                updates[name] = data.copy()
-                self._last_sync[name] = updates[name]
-            else:
-                indices = np.flatnonzero(changed)
-                values = data[indices]
-                updates[name] = (indices, values)
-                last[indices] = values
-        return updates
-
-    def run_blocks(self, tasks: list[BlockTask]) -> list[BlockOutcome]:
-        eng = self.eng
-        if not tasks:
-            return []
-        for task in tasks:
-            if task.extras:
-                raise ConfigurationError(
-                    f"strategy {eng.strategy.name!r} passes execute_block "
-                    f"kwargs {sorted(task.extras)} the {self.name} backend "
-                    "cannot ship to workers; use backend='serial'"
-                )
-        check_unique_procs(self.name, tasks)
-        self._ensure_workers()
-        hoist_injection(eng, tasks)
-        for task in tasks:
-            task.collect_metrics = getattr(eng, "metrics_enabled", False)
-            task.collect_spans = getattr(eng, "spans_enabled", False)
-        self._begin_dispatch(tasks)
-        # Every worker gets a share, even an empty one: the dispatch also
-        # carries the memory-update broadcast, which must reach the whole
-        # pool because the diff baseline (_last_sync) has advanced.
-        shares: list[list[BlockTask]] = [[] for _ in self._workers]
-        for k, task in enumerate(tasks):
-            shares[k % len(shares)].append(task)
-        if self._supervisor is None:
-            self._supervisor = WorkerSupervisor(self)
-        replies = self._supervisor.run_shares(shares)
-        deltas: dict = {}
-        for reply in replies:
-            for delta in reply:
-                deltas[delta.pos] = delta
-        return [self._merge(task, deltas[task.pos]) for task in tasks]
-
-    def _merge(self, task: BlockTask, delta: _BlockDelta) -> BlockOutcome:
-        """Fold one block's delta into the engine, in block-position order."""
-        eng = self.eng
-        machine = eng.machine
-        block = task.block
-        proc = block.proc
-        for category, amount in delta.charges:
-            machine.charge(proc, category, amount)
-        if delta.metrics is not None:
-            # Block-order folding (this method runs in task order): merged
-            # totals equal the serial backend's exactly.
-            machine.metrics.merge(delta.metrics)
-        outcome = BlockOutcome(
-            pos=task.pos, block=block, fault=delta.fault,
-            fault_permanent=delta.fault_permanent,
-            exit_iteration=delta.exit_iteration,
-            inductions=delta.inductions,
-        )
-        if task.collect_spans:
-            # Worker clocks are absolute perf_counter readings; rebase onto
-            # the engine's run-relative host clock.
-            outcome.host_start = eng.rebase_host(delta.host_start)
-            outcome.host_dur = delta.host_dur
-            outcome.virt_dur = delta.virt_dur
-        if task.all_private:
-            return outcome
-        state = eng.states[proc]
-        for name, payload in delta.views.items():
-            state.views[name].absorb_written(payload)
-        for name, payload in delta.shadows.items():
-            state.shadows[name].absorb_marks(payload)
-        for name, partial in delta.partials.items():
-            state.partials.setdefault(name, {}).update(partial)
-        state.iter_times.update(delta.iter_times)
-        state.iter_work.update(delta.iter_work)
-        state.executed.append(block)
-        for name, (indices, values) in delta.untested.items():
-            if eng.ckpt is not None:
-                eng.ckpt.note_write_many(proc, name, indices)
-            get_kernels().scatter(machine.memory[name].data, indices, values)
-        if eng.untested_log is not None:
-            for name, index in delta.untested_reads:
-                eng.untested_log.note_read(proc, name, index)
-            for name, index in delta.untested_writes:
-                eng.untested_log.note_write(proc, name, index)
-        if task.marklists is not None:
-            eng.strategy.install_marklists(eng, task.pos, block, delta.marklists)
-        return outcome
-
-    def resource_info(self) -> dict:
-        """Worker pids plus in-flight share sizes for the sampler.
-
-        Called from the sampler thread while the supervisor may be
-        mid-dispatch, so everything is read through defensive copies.
-        """
-        info = super().resource_info()
-        workers = self._workers or []
-        try:
-            info["worker_pids"] = [
-                process.pid for process, _ in list(workers)
-                if process.pid is not None
-            ]
-        except (TypeError, ValueError):  # pragma: no cover - torn read
-            pass
-        supervisor = self._supervisor
-        if supervisor is not None:
-            try:
-                shares = list(supervisor._shares)
-                info["inflight"] = sum(
-                    len(shares[k]) for k in list(supervisor._sent)
-                    if 0 <= k < len(shares)
-                )
-            except (TypeError, ValueError):  # pragma: no cover - torn read
-                pass
-        return info
-
-    def close(self) -> None:
-        if self._workers is None:
-            return
-        workers, self._workers = self._workers, None
-        get_oplog().log(
-            "backend", "pool-closed", backend=self.name,
-            workers=len(workers),
-        )
-        _shutdown_pool(workers, lambda conn: conn.send(None))
-        self._wctx = None
-        self._supervisor = None
-        self._updates = {}
 
 
 def _shutdown_pool(workers: list, farewell) -> None:
@@ -903,7 +486,6 @@ def _shutdown_pool(workers: list, farewell) -> None:
 
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
-    ForkBackend.name: ForkBackend,
 }
 
 #: Backend modules registered lazily on first lookup (they import this

@@ -46,8 +46,8 @@ from repro.config import (
 )
 from repro.core.analysis import analyze_stage
 from repro.core.backend import (
-    BACKENDS,
     BlockTask,
+    SerialBackend,
     backend_names,
     make_backend,
     resolve_backend_name,
@@ -56,7 +56,6 @@ from repro.core.commit import commit_states, reinit_states
 from repro.core.executor import make_processor_state
 from repro.core.results import RunResult, StageResult
 from repro.core.supervise import (
-    DEGRADATION_ORDER,
     PoolDegradation,
     SupervisionStats,
 )
@@ -381,7 +380,7 @@ def require_serial_backend(config: RuntimeConfig | None, runner: str) -> None:
     """Refuse non-serial execution backends on runners that bypass the
     StageEngine (the doall LRPD test, DDG extraction): they call
     ``execute_block`` directly and would silently run serially while the
-    user believes the fork pool is active.
+    user believes a worker pool is active.
     """
     if config is None:
         return
@@ -533,7 +532,7 @@ class StageEngine:
 
     def rebase_host(self, absolute: float) -> float:
         """Convert an absolute ``perf_counter`` reading (e.g. taken inside a
-        fork worker) to the run-relative host clock."""
+        pool worker) to the run-relative host clock."""
         return absolute - self._host_t0
 
     # -- event plumbing ---------------------------------------------------------
@@ -565,23 +564,24 @@ class StageEngine:
     # -- supervised execution ---------------------------------------------------
 
     def execute_tasks(self, tasks):
-        """Run one doall's blocks, degrading the backend if its pool dies.
+        """Run one doall's blocks, degrading to serial if the pool dies.
 
         Nothing is merged until a backend's ``run_blocks`` returns, so on
-        :class:`PoolDegradation` the same task list re-runs on the fallback
+        :class:`PoolDegradation` the same task list re-runs on the serial
         backend from identical engine state -- results stay bit-identical,
-        only the execution substrate changes.  The chain is finite
-        (shm -> fork -> serial) and serial cannot degrade, so this loop
-        always terminates.
+        only the execution substrate changes.  Serial has no pool to lose,
+        so the retry is the last step.
         """
-        while True:
-            try:
-                return self.backend.run_blocks(tasks)
-            except PoolDegradation as degradation:
-                self._degrade_backend(degradation)
+        try:
+            return self.backend.run_blocks(tasks)
+        except PoolDegradation as degradation:
+            self._degrade_backend(degradation)
+        return self.backend.run_blocks(tasks)
 
     def _degrade_backend(self, degradation: PoolDegradation) -> None:
-        target = DEGRADATION_ORDER[self.backend.name]
+        """Record the degradation and swap the pool for a serial backend
+        for the remainder of the run."""
+        target = SerialBackend.name
         self.supervision.degradations.append({
             "stage": degradation.stage,
             "from": self.backend.name,
@@ -611,13 +611,13 @@ class StageEngine:
             # segments unlink -- exactly the fallback backend's input.
             old.close()
         finally:
-            self.backend = BACKENDS[target](self)
+            self.backend = SerialBackend(self)
 
     # -- run --------------------------------------------------------------------
 
     def run(self) -> RunResult:
         # The kernels scope covers worker forking (workers spawn lazily on
-        # the first dispatch), so fork/shm children inherit the run's choice.
+        # the first dispatch), so shm children inherit the run's choice.
         with use_kernels(self.kernels_name):
             return self._run()
 

@@ -426,7 +426,7 @@ def execute_block(
     the driver's rollback.  ``untested_log`` records untested-array
     traffic for the self-check isolation verifier.
 
-    The fork execution backend queries the injector in the parent and
+    The pool execution backends query the injector in the parent and
     passes the pre-resolved ``slowdown``/``death`` explicitly (worker
     processes have no injector); explicit values take precedence.
 

@@ -27,7 +27,7 @@ re-materialized as numpy scalars of the framed dtype.  Python floats frame
 to ``float64`` losslessly, Python ints to ``int64`` (overflow falls back
 to pickle), and every downstream consumer applies the same element-wise
 cast a scalar ``data[index] = value`` would -- the golden parity matrix
-runs serial vs fork vs shm to hold this equivalence.
+runs serial vs shm to hold this equivalence.
 """
 
 from __future__ import annotations

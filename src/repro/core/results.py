@@ -114,7 +114,7 @@ class RunResult:
     (:mod:`repro.kernels`); affects host time only, never results."""
 
     backend: str = "serial"
-    """Execution backend the run finished on (``serial``/``fork``/``shm``/
+    """Execution backend the run finished on (``serial``/``shm``/
     ``threads``) -- after any supervisor degradations; affects host time
     only, never results."""
 
@@ -138,6 +138,15 @@ class RunResult:
     event stream."""
 
     # -- derived metrics ---------------------------------------------------------
+
+    @property
+    def certificate_acted(self) -> bool:
+        """Whether the certificate picked this run's strategy (a certified
+        fast path ran).  Otherwise it was advisory: it annotated, at most
+        hinted, a run the speculative machinery chose and executed."""
+        return self.certificate is not None and self.strategy.startswith(
+            "certified-"
+        )
 
     @property
     def n_stages(self) -> int:
@@ -197,7 +206,10 @@ class RunResult:
         if self.thread_mode is not None:
             record["thread_mode"] = self.thread_mode
         if self.certificate is not None:
-            record["certificate"] = self.certificate.verdict
+            verdict = self.certificate.verdict
+            record["certificate"] = (
+                verdict if self.certificate_acted else f"{verdict} (advisory)"
+            )
         if self.faults_survived or self.retries:
             record["faults"] = self.faults_survived
             record["fault_retries"] = self.retries

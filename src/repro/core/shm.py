@@ -1,13 +1,9 @@
-"""Shared-memory execution backend: zero-copy data plane, struct-packed pipes.
+"""Shared-memory execution backend: the process pool of the paper's setting.
 
-The fork backend (:mod:`repro.core.backend`) proved the *protocol* -- one
-block per processor per stage, deltas merged in block order -- but pays for
-it in serialization: every dispatch pickles full memory diffs down the pipe
-and every reply pickles dense private views and shadow bit planes back up.
-``BENCH_host.json`` showed that cost swamping the loop work (fork at 0.5x
-serial on the dense doall, 0.2x on the sparse SPICE loop).
-
-The ``shm`` backend splits the two planes:
+The paper runs R-LRPD on a shared-memory multiprocessor: private copies
+and shadow arrays sit in memory every processor can reach, and only the
+analysis phase looks across processors.  The ``shm`` backend reproduces
+that with a persistent pool of forked worker processes and two planes:
 
 **Data plane** -- ``multiprocessing.shared_memory`` segments wrapped in
 numpy views, mapped into the workers by fork inheritance:
@@ -15,7 +11,8 @@ numpy views, mapped into the workers by fork inheritance:
 * every numeric :class:`~repro.machine.memory.SharedArray` of the memory
   image is rebound onto a shared segment, so commits, restores and
   re-initializations performed by the parent are *immediately* visible to
-  the workers -- no memory diff broadcast at all;
+  the workers -- no memory diff broadcast at all (non-numeric arrays, if a
+  loop has any, are re-sent by value when they change);
 * each (processor, dense tested array) pair owns shared buffers for its
   :class:`~repro.machine.memory.DensePrivateView` storage and its four
   :class:`~repro.shadow.dense.DenseShadow` bit planes.  The parent's
@@ -24,22 +21,32 @@ numpy views, mapped into the workers by fork inheritance:
   happens exactly once, in place -- merging a dense view or shadow is a
   no-op;
 * per-iteration timing feedback and the per-block metrics counters travel
-  through dedicated scratch/slot segments instead of pickled dicts.
+  through dedicated scratch/slot segments.
 
 **Control plane** -- the pipe carries ``send_bytes`` frames of fixed-width,
 struct-packed records: task descriptors down (stage, position, block range,
 hoisted fault plan), per-block outcome headers up (fault/exit state, charge
 vector in first-appearance order, span clocks).  Sparse residue -- sparse
-view/shadow exports (already index/value arrays), reduction partials,
-untested write-backs, marklists, induction values -- rides in one small
-pickle blob per block, the existing delta path.
+view/shadow exports, reduction partials, untested write-backs, the
+self-check access log, marklists, induction values -- rides in typed
+array frames (:mod:`repro.core.frames`), so steady-state runs move no
+pickle.
 
-Bit-exactness follows the fork backend's argument: identical worker-side
-execution (same :func:`~repro.core.executor.execute_block`, same charge
-log, same checkpoint discipline), identical block-order merge in the
-parent, plus the observation that dense private data needs no merge at all
-because parent and worker share the storage.  The golden parity matrix
-runs the full 32-case suite under ``shm``, fully instrumented.
+Bit-exactness: workers run the same
+:func:`~repro.core.executor.execute_block` against the same charge log and
+checkpoint discipline as every backend, the parent replays each block's
+:class:`~repro.core.backend.BlockDelta` in block order through
+:func:`~repro.core.backend.fold_delta`, and dense private data needs no
+merge at all because parent and worker share the storage.  The golden
+parity matrix runs the full suite under ``shm``, fully instrumented.
+
+Every dispatch runs under a :class:`~repro.core.supervise.WorkerSupervisor`:
+a SIGKILLed, OOM-killed or wedged worker is reaped and replaced by a fresh
+fork and its blocks are re-dispatched bit-identically (nothing merges
+until every reply is in); a pool beyond repair degrades to ``serial``.
+The supervisor drives this backend through ``_spawn_worker`` /
+``_send_share`` / ``_recv_share`` / ``_recover_shared_state`` /
+``_halt_workers``.
 
 Segment lifecycle: all segments are created by an :class:`ShmArena` whose
 cleanup is registered with ``weakref.finalize`` (atexit-backed); unlink
@@ -52,6 +59,7 @@ a stage's block length outgrows it.
 
 from __future__ import annotations
 
+import os
 import pickle
 import struct
 import time
@@ -63,18 +71,24 @@ import numpy as np
 
 from repro.core.backend import (
     BACKENDS,
+    BlockDelta,
     BlockOutcome,
     BlockTask,
-    ForkBackend,
+    ExecutionBackend,
     _AccessRecorder,
     _ChargeLog,
     _shutdown_pool,
+    capture_untested,
+    check_unique_procs,
+    fold_delta,
+    hoist_injection,
     make_all_private_state,
     make_capture_checkpoint,
 )
 from repro.core import frames
 from repro.core.executor import ProcessorState, execute_block, make_plain_state
-from repro.errors import BackendError
+from repro.core.supervise import WorkerSupervisor
+from repro.errors import BackendError, ConfigurationError
 from repro.kernels import get_kernels
 from repro.machine.checkpoint import CheckpointManager
 from repro.machine.memory import (
@@ -132,7 +146,7 @@ _CATEGORIES = list(Category)
 #: is only ever touched by ``SpeculativeContext.flush_metrics``, whose
 #: instrument set is closed; the presence mask reproduces exactly which
 #: instruments the flush created, so the parent can reconstruct a snapshot
-#: dict that is byte-for-byte what the fork backend would have shipped.
+#: dict that is byte-for-byte the worker registry's own snapshot.
 _SLOT_COUNTERS = (
     "checkpoint.saved.bytes",
     "checkpoint.saved.elements",
@@ -191,7 +205,7 @@ def _pack_metrics(snapshot: dict, slots: np.ndarray) -> bool:
 
 
 def _unpack_metrics(slots: np.ndarray) -> dict:
-    """Rebuild the snapshot dict a fork worker would have pickled."""
+    """Rebuild the snapshot dict the worker's registry produced."""
     mask = int(slots[_S_MASK])
     counters = {
         name: int(slots[k])
@@ -214,7 +228,7 @@ def _unpack_metrics(slots: np.ndarray) -> dict:
 
 def _shmable(data: np.ndarray) -> bool:
     """Whether an array can live in a raw shared-memory segment (numeric
-    dtypes only; anything else rides the fork-style residue path)."""
+    dtypes only; anything else is re-sent by value in the dispatch)."""
     return data.dtype.kind in "biufc"
 
 
@@ -355,7 +369,7 @@ class _ShmPlan:
     image_names: list[str]
     """Memory-image arrays rebound onto shared segments."""
     residue_names: list[str]
-    """Memory-image arrays still broadcast fork-style (non-numeric)."""
+    """Memory-image arrays re-sent by value when they change (non-numeric)."""
     dense_names: dict[str, int]
     """Tested arrays with shared dense view/shadow buffers -> length."""
     proc_bufs: dict[int, dict[str, _DenseBufs]]
@@ -500,11 +514,7 @@ def _run_shm_task(wctx: _ShmWorkerContext, task: BlockTask) -> bytes:
         sum(amount for _, amount in log.charges[charges_before:])
         if task.collect_spans else 0.0
     )
-    # Fold the charge log per category, first-appearance order (the same
-    # order the fork backend replays, hence the same per_proc dict layout).
-    charges: dict[Category, float] = {}
-    for category, amount in log.charges:
-        charges[category] = charges.get(category, 0.0) + amount
+    charges = log.folded()
 
     residue: dict = {}
     metrics_in_slots = 0
@@ -551,19 +561,11 @@ def _run_shm_task(wctx: _ShmWorkerContext, task: BlockTask) -> bytes:
         if partials:
             residue["partials"] = partials
         if ckpt is not None:
-            untested = {}
-            for name, indices in ckpt.modified_by([block.proc]).items():
-                if indices:
-                    idx = np.asarray(indices, dtype=np.int64)
-                    untested[name] = (idx, get_kernels().gather(wctx.memory[name].data, idx))
+            # With the image in shared memory these writes were
+            # parent-visible; the capture rolls them back.
+            untested = capture_untested(ckpt, wctx.memory, block.proc)
             if untested:
                 residue["untested"] = untested
-            # Undo this block's untested writes: with the image in shared
-            # memory they are already parent-visible, but the merge phase
-            # replays them through the parent's checkpoint manager so it
-            # learns the true old values -- the memory must hold those old
-            # values until the parent's note_write has read them.
-            ckpt.restore_failed([block.proc])
         if recorder is not None:
             residue["untested_reads"] = sorted(recorder.reads)
             residue["untested_writes"] = sorted(recorder.writes)
@@ -590,7 +592,7 @@ def _run_shm_task(wctx: _ShmWorkerContext, task: BlockTask) -> bytes:
             len(blob),
         )
     )
-    for category, amount in charges.items():
+    for category, amount in charges:
         out += _CHARGE.pack(_CATEGORIES.index(category), amount)
     out += blob
     return bytes(out)
@@ -649,7 +651,7 @@ def _parse_dispatch(wctx: _ShmWorkerContext, payload: bytes) -> list[BlockTask]:
     return tasks
 
 
-def _shm_worker_main(conn, wctx: _ShmWorkerContext) -> None:  # pragma: no cover - child
+def _shm_worker_loop(conn, wctx: _ShmWorkerContext) -> None:  # pragma: no cover - child
     try:
         while True:
             try:
@@ -678,19 +680,16 @@ def _shm_worker_main(conn, wctx: _ShmWorkerContext) -> None:  # pragma: no cover
 
 
 @dataclass
-class _ShmDelta:
-    pos: int
-    exit_iteration: int | None
-    iter_start: int
-    iter_count: int
-    fault_code: int
-    fault_permanent: bool
-    metrics_in_slots: bool
-    charges: list[tuple[Category, float]]
-    host_start: float
-    host_dur: float
-    virt_dur: float
+class _ShmDelta(BlockDelta):
+    """A parsed outcome header plus the residue only shm folds itself."""
+
+    iter_start: int = 0
+    iter_count: int = 0
+    """Per-iteration times for ``[iter_start, iter_start + iter_count)``
+    wait in the processor's scratch row."""
+    metrics_in_slots: bool = False
     residue: dict = field(default_factory=dict)
+    """Sparse views/shadows, reduction partials and marklists."""
 
 
 def _parse_reply(payload: bytes) -> list[_ShmDelta]:
@@ -715,19 +714,29 @@ def _parse_reply(payload: bytes) -> list[_ShmDelta]:
         if blob_len:
             residue = frames.unpack_residue(payload, off, blob_len)
             off += blob_len
+        fault = None
+        if fault_code == _FAULT_FAIL_STOP:
+            fault = "fail-stop"
+        elif fault_code == _FAULT_OTHER:  # pragma: no cover - defensive
+            fault = residue.pop("fault", "unknown")
         deltas.append(
             _ShmDelta(
                 pos=pos,
-                exit_iteration=None if exit_iter < 0 else exit_iter,
-                iter_start=iter_start,
-                iter_count=iter_count,
-                fault_code=fault_code,
-                fault_permanent=bool(fault_permanent),
-                metrics_in_slots=bool(metrics_in_slots),
                 charges=charges,
+                fault=fault,
+                fault_permanent=bool(fault_permanent),
+                exit_iteration=None if exit_iter < 0 else exit_iter,
+                inductions=residue.pop("inductions", {}),
+                untested=residue.pop("untested", {}),
+                untested_reads=residue.pop("untested_reads", []),
+                untested_writes=residue.pop("untested_writes", []),
+                metrics=residue.pop("metrics", None),
                 host_start=host_start,
                 host_dur=host_dur,
                 virt_dur=virt_dur,
+                iter_start=iter_start,
+                iter_count=iter_count,
+                metrics_in_slots=bool(metrics_in_slots),
                 residue=residue,
             )
         )
@@ -741,19 +750,109 @@ class _ShmWorkerFailure(Exception):
 # -- the backend --------------------------------------------------------------------
 
 
-class ShmBackend(ForkBackend):
+class ShmBackend(ExecutionBackend):
     """Forked workers over a shared-memory data plane (see module doc)."""
 
     name = "shm"
 
-    _worker_target = staticmethod(_shm_worker_main)
-
     def __init__(self, eng) -> None:
         super().__init__(eng)
+        self._workers: list | None = None
+        self._wctx: _ShmWorkerContext | None = None
+        self._mp_ctx = None
+        self._supervisor: WorkerSupervisor | None = None
         self._plan: _ShmPlan | None = None
         self._adopted: dict[int, ProcessorState] = {}
         self._manifest: list[tuple[str, int]] = []
+        self._last_sync: dict[str, np.ndarray] = {}
+        self._updates: dict[str, np.ndarray] = {}
         self._untested_snapshot: dict[str, np.ndarray] = {}
+
+    # -- pool lifecycle -----------------------------------------------------------
+
+    def _ensure_workers(self) -> None:
+        if self._workers is not None:
+            return
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            raise ConfigurationError(
+                f"the {self.name} execution backend needs the 'fork' start "
+                "method (POSIX only); use backend='serial' or 'threads' on "
+                "this platform"
+            )
+        eng = self.eng
+        n_workers = eng.config.backend_workers or min(
+            eng.n_procs, os.cpu_count() or 1
+        )
+        n_workers = max(1, min(n_workers, eng.n_procs))
+        self._wctx = self._make_wctx()
+        self._mp_ctx = mp.get_context("fork")
+        workers = []
+        try:
+            for _ in range(n_workers):
+                workers.append(self._spawn_worker())
+        except BaseException:
+            for process, conn in workers:
+                conn.close()
+                process.terminate()
+            raise
+        self._workers = workers
+        get_oplog().log(
+            "backend", "pool-started", backend=self.name,
+            workers=len(workers),
+            pids=[process.pid for process, _ in workers],
+        )
+
+    def _spawn_worker(self):
+        """Fork one worker from the saved context.
+
+        Initial pool fill and supervised respawn share this path.  A
+        respawn forks from the parent's *current* address space, but the
+        inherited context's non-shared state dates from pool build time,
+        so the supervisor's re-dispatch uses the full-sync ``fresh`` send.
+        """
+        parent_conn, child_conn = self._mp_ctx.Pipe()
+        process = self._mp_ctx.Process(
+            target=_shm_worker_loop, args=(child_conn, self._wctx),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return process, parent_conn
+
+    def _share_context(self, k: int, share: list[BlockTask]) -> str:
+        """Identify one worker and its in-flight work, for error messages."""
+        process, _ = self._workers[k]
+        if share:
+            where = (
+                f"stage {share[0].stage} blocks {[t.pos for t in share]} "
+                f"(procs {[t.block.proc for t in share]})"
+            )
+        else:
+            where = "an empty share"
+        return f"{self.name} backend worker {k} (pid {process.pid}) executing {where}"
+
+    def _halt_workers(self) -> None:
+        """Kill the whole pool immediately (degradation path): live
+        workers may still be executing and must stop before shared state
+        is rolled back and the pool abandoned."""
+        if self._workers is None:
+            return
+        workers, self._workers = self._workers, None
+        get_oplog().log(
+            "backend", "pool-halted", severity="warn", backend=self.name,
+            workers=len(workers),
+        )
+        for process, _ in workers:
+            if process.is_alive():
+                process.kill()
+        for process, conn in workers:
+            process.join(timeout=5.0)
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - already broken
+                pass
 
     # -- setup ---------------------------------------------------------------------
 
@@ -799,6 +898,8 @@ class ShmBackend(ForkBackend):
         )
 
     def _make_wctx(self) -> _ShmWorkerContext:
+        """Lay out the shared segments and build the context workers
+        inherit through fork."""
         eng = self.eng
         self._plan = plan = self._build_plan()
         get_oplog().log(
@@ -812,7 +913,7 @@ class ShmBackend(ForkBackend):
             sa = SharedArray.__new__(SharedArray)
             sa.name = name
             # Shared segments are shared with the parent; residue arrays
-            # get a fork-private copy kept fresh by the diff broadcast.
+            # get a fork-private copy, re-sent by value when it changes.
             sa.data = (
                 memory[name].data
                 if name in set(plan.image_names)
@@ -1071,45 +1172,58 @@ class ShmBackend(ForkBackend):
                 for plane in bufs.planes:
                     plane[...] = 0
 
-    # -- merge ------------------------------------------------------------------
+    # -- dispatch and merge ---------------------------------------------------------
+
+    def run_blocks(self, tasks: list[BlockTask]) -> list[BlockOutcome]:
+        eng = self.eng
+        if not tasks:
+            return []
+        for task in tasks:
+            if task.extras:
+                raise ConfigurationError(
+                    f"strategy {eng.strategy.name!r} passes execute_block "
+                    f"kwargs {sorted(task.extras)} the {self.name} backend "
+                    "cannot ship to workers; use backend='serial'"
+                )
+        check_unique_procs(self.name, tasks)
+        self._ensure_workers()
+        hoist_injection(eng, tasks)
+        for task in tasks:
+            task.collect_metrics = getattr(eng, "metrics_enabled", False)
+            task.collect_spans = getattr(eng, "spans_enabled", False)
+        self._begin_dispatch(tasks)
+        # Every worker gets a share, even an empty one: the dispatch also
+        # carries the scratch manifest and residue updates, which must
+        # reach the whole pool.
+        shares: list[list[BlockTask]] = [[] for _ in self._workers]
+        for k, task in enumerate(tasks):
+            shares[k % len(shares)].append(task)
+        if self._supervisor is None:
+            self._supervisor = WorkerSupervisor(self)
+        replies = self._supervisor.run_shares(shares)
+        deltas: dict = {}
+        for reply in replies:
+            for delta in reply:
+                deltas[delta.pos] = delta
+        return [self._merge(task, deltas[task.pos]) for task in tasks]
 
     def _merge(self, task: BlockTask, delta: _ShmDelta) -> BlockOutcome:
         """Fold one outcome into the engine, in block-position order.
 
         Dense private views and shadows need no action -- the worker wrote
-        the parent's own (adopted) buffers in place.  Everything else
-        mirrors the fork backend's merge exactly.
+        the parent's own (adopted) buffers in place.  After the shared
+        :func:`fold_delta` head, only the sparse residue, the scratch
+        iteration times and the marklists remain.
         """
         eng = self.eng
-        machine = eng.machine
         block = task.block
         proc = block.proc
-        residue = delta.residue
-        for category, amount in delta.charges:
-            machine.charge(proc, category, amount)
-        if task.collect_metrics:
-            if delta.metrics_in_slots:
-                snapshot = _unpack_metrics(self._plan.metrics_block[proc])
-            else:  # pragma: no cover - residue fallback
-                snapshot = residue.get("metrics", {})
-            machine.metrics.merge(snapshot)
-        fault = None
-        if delta.fault_code == _FAULT_FAIL_STOP:
-            fault = "fail-stop"
-        elif delta.fault_code == _FAULT_OTHER:  # pragma: no cover - defensive
-            fault = residue.get("fault", "unknown")
-        outcome = BlockOutcome(
-            pos=task.pos, block=block, fault=fault,
-            fault_permanent=delta.fault_permanent,
-            exit_iteration=delta.exit_iteration,
-            inductions=residue.get("inductions", {}),
-        )
-        if task.collect_spans:
-            outcome.host_start = eng.rebase_host(delta.host_start)
-            outcome.host_dur = delta.host_dur
-            outcome.virt_dur = delta.virt_dur
+        if delta.metrics_in_slots:
+            delta.metrics = _unpack_metrics(self._plan.metrics_block[proc])
+        outcome = fold_delta(eng, task, delta)
         if task.all_private:
             return outcome
+        residue = delta.residue
         state = eng.states[proc]
         for name, payload in residue.get("views", {}).items():
             state.views[name].absorb_written(payload)
@@ -1127,15 +1241,6 @@ class ShmBackend(ForkBackend):
                 zip(span, scratch[proc, 1, : delta.iter_count].tolist())
             )
         state.executed.append(block)
-        for name, (indices, values) in residue.get("untested", {}).items():
-            if eng.ckpt is not None:
-                eng.ckpt.note_write_many(proc, name, indices)
-            get_kernels().scatter(machine.memory[name].data, indices, values)
-        if eng.untested_log is not None:
-            for name, index in residue.get("untested_reads", ()):
-                eng.untested_log.note_read(proc, name, index)
-            for name, index in residue.get("untested_writes", ()):
-                eng.untested_log.note_write(proc, name, index)
         if task.marklists is not None:
             eng.strategy.install_marklists(
                 eng, task.pos, block, residue.get("marklists")
@@ -1143,8 +1248,31 @@ class ShmBackend(ForkBackend):
         return outcome
 
     def resource_info(self) -> dict:
-        """Fork's pids/inflight plus the arena's ``/dev/shm`` footprint."""
+        """Worker pids, in-flight share sizes and the arena's ``/dev/shm``
+        footprint for the sampler.
+
+        Called from the sampler thread while the supervisor may be
+        mid-dispatch, so everything is read through defensive copies.
+        """
         info = super().resource_info()
+        workers = self._workers or []
+        try:
+            info["worker_pids"] = [
+                process.pid for process, _ in list(workers)
+                if process.pid is not None
+            ]
+        except (TypeError, ValueError):  # pragma: no cover - torn read
+            pass
+        supervisor = self._supervisor
+        if supervisor is not None:
+            try:
+                shares = list(supervisor._shares)
+                info["inflight"] = sum(
+                    len(shares[k]) for k in list(supervisor._sent)
+                    if 0 <= k < len(shares)
+                )
+            except (TypeError, ValueError):  # pragma: no cover - torn read
+                pass
         plan = self._plan
         if plan is not None:
             info["shm_bytes"] = plan.arena.total_bytes

@@ -1,7 +1,7 @@
 """Worker-pool supervision: crash/hang detection and bit-identical recovery.
 
-The fork and shm backends run each stage's blocks on real OS processes, so
-they inherit real OS failure modes the logical fault injector
+The shm backend runs each stage's blocks on real OS processes, so it
+inherits real OS failure modes the logical fault injector
 (:mod:`repro.faults`) never produces: a worker SIGKILLed by the OOM
 killer, wedged in uninterruptible sleep, or stopped by SIGSTOP.  Before
 this layer existed, a dead worker raised a terminal
@@ -29,8 +29,7 @@ forever in ``conn.recv()``.
   its worker repeatedly (a poison block), the supervisor halts the pool,
   restores shared state, and raises :class:`PoolDegradation`; the engine
   catches it, emits a ``BackendDegraded`` event and re-runs the same tasks
-  on the next backend down the :data:`DEGRADATION_ORDER` chain
-  (shm -> fork -> serial) for the remainder of the run.
+  on the ``serial`` backend for the remainder of the run.
 
 Supervision outcomes deliberately stay **out** of the deterministic event
 and metrics streams: a disturbed run must produce a bit-identical trace to
@@ -50,12 +49,6 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 
 from repro.obs.oplog import get_oplog
-
-#: Graceful fallback chain: the engine replaces a degraded backend with the
-#: next entry (serial has no entry -- it cannot lose workers).  The threads
-#: backend falls straight to serial: its failure modes are in-process, so
-#: neither process backend would be any healthier after a degradation.
-DEGRADATION_ORDER = {"shm": "fork", "fork": "serial", "threads": "serial"}
 
 #: Exponential respawn backoff: ``_BACKOFF_BASE * 2**n`` seconds, capped.
 _BACKOFF_BASE = 0.01
@@ -181,10 +174,9 @@ class PoolDegradation(Exception):
     """Internal control flow: this worker pool is beyond per-worker repair.
 
     Raised by the supervisor after it has halted the pool and restored
-    shared state; the engine catches it and fails over to the next backend
-    in :data:`DEGRADATION_ORDER`.  Never escapes the engine: if even
-    serial were to fail the failure is a real error, and serial never
-    raises this.
+    shared state; the engine catches it and finishes the run on the
+    serial backend.  Never escapes the engine: serial has no pool to lose,
+    so it never raises this.
     """
 
     def __init__(

@@ -1,12 +1,12 @@
 """The ``threads`` execution backend: zero-copy in-process parallelism.
 
-The fork and shm backends pay real dispatch costs -- pickled deltas, a
-memory diff-sync broadcast, struct-framed control pipes -- because their
-workers live in other processes.  The kernels layer (:mod:`repro.kernels`)
-removed the last reason for that: every hot per-element loop is now a
-batch primitive that releases the GIL inside numpy, so worker *threads*
-in the engine's own process can execute blocks concurrently on stock
-CPython and truly in parallel on free-threaded (PEP 703) builds.
+The shm backend pays real dispatch costs -- forked workers, struct-framed
+control pipes, state adoption -- because its workers live in other
+processes.  The kernels layer (:mod:`repro.kernels`) makes an in-process
+alternative worthwhile: every hot per-element loop is a batch primitive
+that releases the GIL inside numpy, so worker *threads* in the engine's
+own process can execute blocks concurrently on stock CPython and truly in
+parallel on free-threaded (PEP 703) builds.
 
 Execution model
 ---------------
@@ -23,11 +23,12 @@ adoption needed because there is only one address space:
   phase has nothing to copy.
 * Virtual-time charges go to a thread-local
   :class:`~repro.core.backend._ChargeLog` and are replayed against the
-  real timeline **in block order** during the merge -- the fork backend's
-  proven-bit-identical folding.  Metrics accumulate in a per-task private
-  registry merged the same way, so concurrent completion order never
-  reaches a deterministic stream.
-* Untested arrays follow the fork worker protocol with a thread-local
+  real timeline **in block order** by
+  :func:`~repro.core.backend.fold_delta` -- the same folding the shm
+  backend uses.  Metrics accumulate in a per-task private registry merged
+  the same way, so concurrent completion order never reaches a
+  deterministic stream.
+* Untested arrays follow the shm worker protocol with a thread-local
   :class:`~repro.machine.checkpoint.CheckpointManager`: the worker writes
   shared memory under its own checkpoint (safe: the statically-analyzable
   isolation contract forbids cross-processor element sharing), captures
@@ -81,18 +82,18 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.backend import (
     BACKENDS,
+    BlockDelta,
     BlockOutcome,
     BlockTask,
     ExecutionBackend,
     _AccessRecorder,
     _ChargeLog,
+    capture_untested,
     check_unique_procs,
+    fold_delta,
     hoist_injection,
     make_capture_checkpoint,
 )
@@ -110,7 +111,6 @@ from repro.core.supervise import (
     log_supervision,
 )
 from repro.errors import BackendError, ConfigurationError
-from repro.kernels import get_kernels
 from repro.machine.checkpoint import CheckpointManager
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.oplog import get_oplog
@@ -133,32 +133,7 @@ def thread_mode() -> str:
 _CANCEL_GRACE = 5.0
 
 
-@dataclass
-class _ThreadDelta:
-    """What a worker thread reports about one executed block.
-
-    Deliberately small: views, shadows, partials, iteration times and the
-    executed list were written in place (direct execution), so only the
-    order-sensitive residue travels -- folded charges, the metrics
-    snapshot, the untested capture and the fault/exit outcome.
-    """
-
-    pos: int
-    charges: list[tuple]
-    fault: str | None = None
-    fault_permanent: bool = False
-    exit_iteration: int | None = None
-    inductions: dict[str, int] = field(default_factory=dict)
-    untested: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    untested_reads: list[tuple[str, int]] = field(default_factory=list)
-    untested_writes: list[tuple[str, int]] = field(default_factory=list)
-    metrics: dict | None = None
-    host_start: float = 0.0
-    host_dur: float = 0.0
-    virt_dur: float = 0.0
-
-
-def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> _ThreadDelta:
+def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> BlockDelta:
     """Execute one block on the calling worker thread.
 
     Runs in a worker thread against live engine state; every ``eng``
@@ -227,12 +202,9 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> _ThreadDe
         if ckpt is not None:
             ckpt.restore_failed([block.proc])
         raise
-    charges: dict = {}
-    for category, amount in log.charges:
-        charges[category] = charges.get(category, 0.0) + amount
-    delta = _ThreadDelta(
+    delta = BlockDelta(
         pos=task.pos,
-        charges=list(charges.items()),
+        charges=log.folded(),
         fault=ctx.fault,
         fault_permanent=ctx.fault_permanent,
         exit_iteration=ctx.exit_iteration,
@@ -249,17 +221,9 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> _ThreadDe
     if task.all_private:
         return delta
     if ckpt is not None:
-        for name, indices in ckpt.modified_by([block.proc]).items():
-            if indices:
-                idx = np.asarray(indices, dtype=np.int64)
-                # thread-safe: gathers only elements this block wrote.
-                delta.untested[name] = (
-                    idx, get_kernels().gather(eng.machine.memory[name].data, idx)
-                )
-        # Undo our untested writes: the merge replays them through the
-        # parent's checkpoint manager in block order, which must observe
-        # the pre-stage values as "old" for rollback to stay serial.
-        ckpt.restore_failed([block.proc])
+        # thread-safe: gathers, then restores, only elements this block
+        # wrote (the isolation contract keeps them ours alone).
+        delta.untested = capture_untested(ckpt, eng.machine.memory, block.proc)
     if recorder is not None:
         delta.untested_reads = sorted(recorder.reads)
         delta.untested_writes = sorted(recorder.writes)
@@ -272,7 +236,7 @@ class _Reply:
     __slots__ = ("deltas", "error", "cancelled")
 
     def __init__(self) -> None:
-        self.deltas: list[_ThreadDelta] | None = None
+        self.deltas: list[BlockDelta] | None = None
         self.error: str | None = None
         self.cancelled = False
 
@@ -435,8 +399,8 @@ class _ThreadSupervisor:
                 f"{self.backend._share_context(k, self._shares[k])} missed "
                 f"its dispatch deadline and did not acknowledge cancellation "
                 f"within {self._grace():.1f}s (thread wedged inside an "
-                "iteration; threads cannot be force-killed -- use the fork "
-                "or shm backend for workloads with non-returning bodies)",
+                "iteration; threads cannot be force-killed -- use the shm "
+                "backend for workloads with non-returning bodies)",
                 loop=self.backend.eng.loop.name,
             )
 
@@ -533,7 +497,7 @@ class ThreadsBackend(ExecutionBackend):
             raise ConfigurationError(
                 "os_chaos delivers SIGKILL/SIGSTOP to worker processes; "
                 "the threads backend's workers share the engine's process "
-                "-- use backend='fork' or 'shm' for OS-level chaos"
+                "-- use backend='shm' for OS-level chaos"
             )
         self.thread_mode = thread_mode()
         self._workers: list[_Worker] | None = None
@@ -653,45 +617,10 @@ class ThreadsBackend(ExecutionBackend):
         for reply in replies:
             for delta in reply:
                 deltas[delta.pos] = delta
-        return [self._merge(task, deltas[task.pos]) for task in tasks]
-
-    def _merge(self, task: BlockTask, delta: _ThreadDelta) -> BlockOutcome:
-        """Fold one block's delta into the engine, in block-position order.
-
-        Views, shadows, partials, iteration times, the executed list and
-        mark lists were written in place by direct execution; only the
-        order-sensitive residue replays here.
-        """
-        eng = self.eng
-        machine = eng.machine
-        block = task.block
-        proc = block.proc
-        for category, amount in delta.charges:
-            machine.charge(proc, category, amount)
-        if delta.metrics is not None:
-            machine.metrics.merge(delta.metrics)
-        outcome = BlockOutcome(
-            pos=task.pos, block=block, fault=delta.fault,
-            fault_permanent=delta.fault_permanent,
-            exit_iteration=delta.exit_iteration,
-            inductions=delta.inductions,
-        )
-        if task.collect_spans:
-            outcome.host_start = eng.rebase_host(delta.host_start)
-            outcome.host_dur = delta.host_dur
-            outcome.virt_dur = delta.virt_dur
-        if task.all_private:
-            return outcome
-        for name, (indices, values) in delta.untested.items():
-            if eng.ckpt is not None:
-                eng.ckpt.note_write_many(proc, name, indices)
-            get_kernels().scatter(machine.memory[name].data, indices, values)
-        if eng.untested_log is not None:
-            for name, index in delta.untested_reads:
-                eng.untested_log.note_read(proc, name, index)
-            for name, index in delta.untested_writes:
-                eng.untested_log.note_write(proc, name, index)
-        return outcome
+        # Views, shadows, partials, iteration times, the executed list and
+        # mark lists were written in place by direct execution; only the
+        # order-sensitive residue replays, in block order.
+        return [fold_delta(eng, task, deltas[task.pos]) for task in tasks]
 
     def resource_info(self) -> dict:
         """Live thread count and per-worker inbox depths for the sampler.

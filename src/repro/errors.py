@@ -107,7 +107,7 @@ class BackendError(ReproError):
     was valid, the host-side execution machinery broke.  A worker that
     merely *dies* or hangs no longer raises this -- the supervisor
     (:mod:`repro.core.supervise`) respawns it and re-dispatches the lost
-    blocks, degrading shm -> fork -> serial if the pool is beyond repair."""
+    blocks, degrading to serial if the pool is beyond repair."""
 
 
 class ScheduleError(ReproError):

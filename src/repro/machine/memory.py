@@ -324,8 +324,8 @@ class SparsePrivateView(PrivateView):
         )
 
     def export_written(self) -> tuple[np.ndarray, np.ndarray]:
-        # Paired index/value arrays, not a per-element dict: pickling one
-        # values buffer is what keeps the sparse fork/shm delta path cheap.
+        # Paired index/value arrays, not a per-element dict: framing one
+        # values buffer is what keeps the sparse shm delta path cheap.
         # The dtype cast is safe because an absorbed view is only consumed
         # by the commit phase, whose ``written_arrays`` applies exactly the
         # same element-wise cast a scalar ``data[index] = value`` would.

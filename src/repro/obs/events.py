@@ -153,9 +153,9 @@ class BackendDegraded(StageEvent):
     """The execution backend's worker pool was abandoned mid-run.
 
     Emitted when the worker supervisor (:mod:`repro.core.supervise`) gives
-    up on a fork/shm pool -- respawn budget exhausted or a poison block --
-    and the engine falls back down the shm -> fork -> serial chain.  The
-    stage's tasks re-run on the fallback backend from unchanged engine
+    up on a worker pool (shm or threads) -- respawn budget exhausted or a
+    poison block -- and the engine finishes the run on serial.  The
+    stage's tasks re-run on the serial backend from unchanged engine
     state, so everything *after* this event is bit-identical to an
     undisturbed run; the event is the only trace-visible mark of the
     failover."""

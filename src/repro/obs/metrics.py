@@ -19,7 +19,7 @@ Cost discipline:
 * **Enabled**: instruments are plain attribute updates; the registry is a
   dict of instruments, snapshotted once per stage for the event stream.
 
-Fork-backend workers accumulate into a private registry and ship its
+Pool-backend workers accumulate into a private registry and ship its
 :meth:`~MetricsRegistry.snapshot` back inside the per-block delta; the
 parent :meth:`~MetricsRegistry.merge`\\ s deltas in block order, so the
 merged totals equal a serial run's exactly (integer/float sums of the same
@@ -114,7 +114,7 @@ _NULL_INSTRUMENT = _NullInstrument()
 
 
 class MetricsRegistry:
-    """Named instruments for one run (or one fork worker's share of one).
+    """Named instruments for one run (or one pool worker's share of one).
 
     ``counter``/``gauge``/``histogram`` create on first use and return the
     existing instrument afterwards; on a disabled registry they return a

@@ -2,7 +2,7 @@
 
 Speculative parallelization fails operationally long before it fails
 logically: shadow planes blow out RSS, /dev/shm fills with arena
-segments, one fork worker sits at 100% CPU while the rest idle, the GIL
+segments, one shm worker sits at 100% CPU while the rest idle, the GIL
 serializes a threads run.  None of that may enter the deterministic
 event stream (the golden parity matrix demands bit-identical traces),
 so it is sampled out-of-band instead.
@@ -11,7 +11,7 @@ so it is sampled out-of-band instead.
 every ``RuntimeConfig.resource_interval`` seconds to record:
 
 * the engine process's RSS and CPU time;
-* every live worker process's RSS and CPU time (fork/shm pools, from
+* every live worker process's RSS and CPU time (the shm pool, from
   the backend's :meth:`~repro.core.backend.ExecutionBackend.resource_info`);
 * /dev/shm bytes held by the shm backend's :class:`~repro.core.shm.ShmArena`;
 * dispatch-pipe/queue depths and the count of in-flight shares;

@@ -26,8 +26,8 @@ stream into Chrome trace-event JSON that Perfetto (https://ui.perfetto.dev)
 renders directly: one process per clock, one thread track per processor
 plus an engine track, metric counters as Perfetto counter tracks.
 
-The fork backend ships per-block host timings and metric deltas back
-through its delta pipe; the engine emits the block spans itself, in block
+Pool backends ship per-block host timings and metric deltas back with
+each block's delta; the engine emits the block spans itself, in block
 order, right after each ``BlockExecuted`` -- so the *order* of a trace is
 deterministic even though host durations are not.
 """

@@ -109,7 +109,7 @@ class ShadowArray:
 
     def export_marks(self) -> object:
         """Representation-specific payload of all mark planes, shipped
-        between processes by the fork execution backend.  Must round-trip
+        between processes by the shm execution backend.  Must round-trip
         bit-exactly through :meth:`absorb_marks`."""
         raise NotImplementedError
 

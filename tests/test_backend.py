@@ -1,6 +1,6 @@
-"""The execution-backend layer: registry, fork guards, bulk hot paths.
+"""The execution-backend layer: registry, serial-only guards, bulk hot paths.
 
-Bit-exact serial/fork parity over the full strategy matrix lives in
+Bit-exact cross-backend parity over the full strategy matrix lives in
 ``test_engine_parity.py``; this file covers the backend machinery itself
 -- selection, defaults, engine-bypassing-runner guards -- and the
 vectorized view/shadow/context operations the backends and the commit
@@ -43,18 +43,18 @@ from repro.workloads.synthetic import fully_parallel_loop
 
 class TestBackendSelection:
     def test_known_backends(self):
-        assert backend_names() == ["fork", "serial", "shm", "threads"]
+        assert backend_names() == ["serial", "shm", "threads"]
 
     def test_serial_is_the_default(self):
         assert get_default_backend() == "serial"
         assert resolve_backend_name(RuntimeConfig.nrd()) == "serial"
 
     def test_config_overrides_default(self):
-        assert resolve_backend_name(RuntimeConfig.nrd(backend="fork")) == "fork"
+        assert resolve_backend_name(RuntimeConfig.nrd(backend="shm")) == "shm"
 
     def test_use_backend_scopes_the_default(self):
-        with use_backend("fork"):
-            assert resolve_backend_name(RuntimeConfig.nrd()) == "fork"
+        with use_backend("shm"):
+            assert resolve_backend_name(RuntimeConfig.nrd()) == "shm"
             # An explicit config setting still wins.
             assert (
                 resolve_backend_name(RuntimeConfig.nrd(backend="serial"))
@@ -72,6 +72,15 @@ class TestBackendSelection:
                 fully_parallel_loop(64), 4, RuntimeConfig.nrd(backend="gpu")
             )
 
+    def test_retired_fork_backend_rejected(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown execution backend 'fork'; known: serial, shm, threads",
+        ):
+            parallelize(
+                fully_parallel_loop(64), 4, RuntimeConfig.nrd(backend="fork")
+            )
+
     def test_backend_workers_validated(self):
         with pytest.raises(ConfigurationError, match="backend_workers"):
             RuntimeConfig.nrd(backend_workers=0)
@@ -81,27 +90,6 @@ class TestBackendSelection:
             config = RuntimeConfig.nrd(backend="serial")
 
         assert make_backend(_Eng()).name == "serial"
-
-
-class TestForkRuns:
-    def test_fork_run_matches_serial(self):
-        serial = parallelize(
-            fully_parallel_loop(128), 4, RuntimeConfig.adaptive(backend="serial")
-        )
-        fork = parallelize(
-            fully_parallel_loop(128), 4, RuntimeConfig.adaptive(backend="fork")
-        )
-        assert fork.memory.equals(serial.memory.snapshot())
-        assert repr(fork.total_time) == repr(serial.total_time)
-        assert fork.n_stages == serial.n_stages
-
-    def test_backend_workers_bound_respected(self):
-        result = parallelize(
-            fully_parallel_loop(64), 4,
-            RuntimeConfig.adaptive(backend="fork", backend_workers=1),
-        )
-        expected = np.arange(64, dtype=np.float64) * 2.0 + 1.0
-        assert np.array_equal(result.memory["A"].data, expected)
 
 
 # -- the shared-memory backend ----------------------------------------------------
@@ -288,7 +276,7 @@ class TestShmSegmentLifecycle:
 
     def test_worker_crash_degrades_and_leaves_no_leaked_segments(self, monkeypatch):
         # A body that SIGKILLs every worker it reaches is a poison block:
-        # the supervisor degrades shm -> fork -> serial, the run still
+        # the supervisor degrades shm -> serial, the run still
         # completes with the serial answer, and nothing is left behind in
         # /dev/shm -- every arena segment is unlinked even though workers
         # never replied.
@@ -331,7 +319,7 @@ class TestShmSegmentLifecycle:
             (d["from"], d["to"])
             for d in result.supervision["supervise.degradations"]
         ]
-        assert chain == [("shm", "fork"), ("fork", "serial")]
+        assert chain == [("shm", "serial")]
         serial = parallelize(make_loop(), 4, RuntimeConfig.nrd(backend="serial"))
         assert result.memory.equals(serial.memory.snapshot())
         assert repr(result.total_time) == repr(serial.total_time)
@@ -345,20 +333,20 @@ class TestShmSegmentLifecycle:
 
 
 class TestSerialOnlyGuards:
-    def test_doall_lrpd_rejects_fork(self):
+    def test_doall_lrpd_rejects_shm(self):
         with pytest.raises(ConfigurationError, match="serial execution backend"):
             run_doall_lrpd(
-                fully_parallel_loop(64), 4, RuntimeConfig.nrd(backend="fork")
+                fully_parallel_loop(64), 4, RuntimeConfig.nrd(backend="shm")
             )
 
-    def test_ddg_extraction_rejects_fork(self):
+    def test_ddg_extraction_rejects_shm(self):
         with pytest.raises(ConfigurationError, match="serial execution backend"):
             extract_ddg(
-                fully_parallel_loop(64), 4, RuntimeConfig.sw(backend="fork")
+                fully_parallel_loop(64), 4, RuntimeConfig.sw(backend="shm")
             )
 
     def test_guard_honors_scoped_default(self):
-        with use_backend("fork"):
+        with use_backend("shm"):
             with pytest.raises(ConfigurationError, match="serial execution backend"):
                 run_doall_lrpd(fully_parallel_loop(64), 4, RuntimeConfig.nrd())
 
@@ -559,11 +547,6 @@ class TestContextBulkOps:
 
 
 class TestCliBackend:
-    def test_run_with_fork_backend(self, capsys):
-        assert cli_main(["run", "doall", "-p", "4", "--backend", "fork"]) == 0
-        out = capsys.readouterr().out
-        assert "stage" in out.lower() or out
-
     def test_run_with_shm_backend(self, capsys):
         assert cli_main(["run", "doall", "-p", "4", "--backend", "shm"]) == 0
         out = capsys.readouterr().out
@@ -578,3 +561,11 @@ class TestCliBackend:
     def test_bad_backend_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "doall", "-p", "4", "--backend", "gpu"])
+
+    def test_retired_fork_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["run", "doall", "-p", "4", "--backend", "fork"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fork'" in err
+        # argparse quotes the choices on some Python versions only.
+        assert err.replace("'", "").count("serial, shm, threads") == 1

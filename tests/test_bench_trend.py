@@ -216,3 +216,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert "doall/fork" in out
         assert "chain/fork" not in out
+
+
+class TestRetiredBackend:
+    """A backend dropped from the sweep leaves its pairs in older entries
+    only; the trend must keep rendering them without calling the gap (or
+    their last historical move) a regression."""
+
+    HISTORY = [
+        _entry("aaaa111", date="2026-07-01", cpus=1,
+               doall={"fork": 0.60, "shm": 0.35, "threads": 1.20}),
+        # fork dropped 15% here -- history, not the newest run's doing.
+        _entry("bbbb222", date="2026-07-15", cpus=1,
+               doall={"fork": 0.51, "shm": 0.36, "threads": 1.20}),
+        _entry("cccc333", date="2026-08-01", cpus=1,
+               doall={"shm": 0.37, "threads": 1.25}),
+    ]
+
+    def test_table_keeps_retired_rows_without_flagging_them(self):
+        text = render_trend(self.HISTORY)
+        fork_row = next(
+            line for line in text.splitlines()
+            if line.startswith("doall/fork")
+        )
+        assert "0.60x" in fork_row and "0.51x" in fork_row
+        assert fork_row.rstrip().endswith("-")
+        assert "REGRESSION" not in text
+
+    def test_strict_gate_passes(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "BENCH_host.json"
+        path.write_text(json.dumps({"history": self.HISTORY}))
+        assert not has_regressions(self.HISTORY)
+        assert main(["bench-trend", str(path), "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "doall/fork" in out
+        assert "REGRESSION" not in out

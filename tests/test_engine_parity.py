@@ -9,8 +9,8 @@ float's repr.
 
 Each case runs under every execution backend (:mod:`repro.core.backend`):
 the golden values were captured from in-process serial execution, so a
-passing ``fork`` run proves the worker-pool dispatch, delta shipping and
-in-order merge are bit-identical to serial -- results, events and virtual
+passing ``shm`` or ``threads`` run proves the worker-pool dispatch, delta
+shipping and in-order merge are bit-identical to serial -- results, events and virtual
 time alike.
 """
 

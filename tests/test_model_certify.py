@@ -58,7 +58,7 @@ from tests.engine_parity_cases import summarize
 P = 4
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
-BACKENDS = ["serial", "threads"] + (["fork", "shm"] if HAS_FORK else [])
+BACKENDS = ["serial", "threads"] + (["shm"] if HAS_FORK else [])
 
 
 # -- symbolic probe layer ---------------------------------------------------------
@@ -469,6 +469,43 @@ class TestSurfacing:
         res = parallelize(fully_parallel_loop(32), P)
         text = render_stage_trace(res)
         assert text.startswith("certificate: DOALL [trace/exact]")
+
+    @pytest.mark.parametrize(
+        ("n", "acted", "basis"),
+        [(4096, True, "trace/exact"), (16384, False, "affine/model")],
+    )
+    def test_certificate_reads_advisory_unless_it_picked_the_strategy(
+        self, tmp_path, n, acted, basis
+    ):
+        # n <= probe_limit: the exact trace certificate picks the fast
+        # path.  Beyond it the sampled affine DOALL is only advisory under
+        # the default certify="hint" -- the run is speculative, and no
+        # surface may present the certificate as the one that acted.
+        from repro.bench.trace import render_stage_trace
+        from repro.obs.report import load_trace, run_report
+
+        trace = tmp_path / "trace.jsonl"
+        res = parallelize(
+            fully_parallel_loop(n), 2,
+            RuntimeConfig.adaptive(trace_path=str(trace)),
+        )
+        assert res.certificate.verdict == DOALL
+        assert res.certificate_acted is acted
+        text = render_stage_trace(res)
+        report = run_report(load_trace(str(trace)))
+        if acted:
+            assert res.strategy == "certified-doall"
+            assert res.summary()["certificate"] == DOALL
+            assert text.startswith(f"certificate: DOALL [{basis}]")
+            assert "certified fast path" in report
+        else:
+            assert res.strategy == "RD-adaptive"
+            assert res.summary()["certificate"] == "DOALL (advisory)"
+            assert text.startswith(
+                f"certificate (advisory, not acted on): DOALL [{basis}]"
+            )
+            assert "certified fast path" not in report
+            assert "RD-adaptive" in report
 
     def test_report_names_the_fast_path(self, tmp_path):
         from repro.obs.report import load_trace, run_report

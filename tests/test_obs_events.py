@@ -168,7 +168,7 @@ class TestObservabilityStream:
         with use_backend(backend), use_instrumentation(metrics=True, spans=True):
             return _recorded(_rand(), RuntimeConfig.adaptive())
 
-    @pytest.mark.parametrize("backend", ["serial", "fork"])
+    @pytest.mark.parametrize("backend", ["serial", "shm"])
     def test_instrumented_stream_is_valid(self, backend):
         result, events = self._instrumented(backend)
         validate_events(events)
@@ -180,7 +180,7 @@ class TestObservabilityStream:
         assert snaps[-1].scope == "run" and snaps[-1].stage is None
         assert result.metrics["counters"] == snaps[-1].counters
 
-    @pytest.mark.parametrize("backend", ["serial", "fork"])
+    @pytest.mark.parametrize("backend", ["serial", "shm"])
     def test_block_spans_interleave_in_block_order(self, backend):
         _, events = self._instrumented(backend)
         for stage in {e.stage for e in events if isinstance(e, StageBegin)}:
@@ -198,15 +198,15 @@ class TestObservabilityStream:
                 e.proc for e in in_stage[1::2]
             ]
 
-    def test_serial_and_fork_metrics_are_identical(self):
+    def test_serial_and_shm_metrics_are_identical(self):
         from repro.core.backend import use_backend
 
         snapshots = {}
-        for backend in ("serial", "fork"):
+        for backend in ("serial", "shm"):
             with use_backend(backend), use_instrumentation(metrics=True):
                 result = parallelize(_rand(), P, RuntimeConfig.adaptive())
             snapshots[backend] = result.metrics
-        assert snapshots["serial"] == snapshots["fork"]
+        assert snapshots["serial"] == snapshots["shm"]
         assert snapshots["serial"]["counters"]["shadow.marks"] > 0
 
     def test_run_scoped_observability_event_legal_anywhere(self):

@@ -2,7 +2,7 @@
 
 Ring-buffer behaviour, bundle write/read round-trip, the rendered
 report, crash-dir resolution -- and the headline end-to-end scenario:
-a fork worker SIGKILL'd mid-run whose SpeculationError leaves behind a
+an shm worker SIGKILL'd mid-run whose SpeculationError leaves behind a
 bundle that ``repro report --bundle`` renders.
 """
 
@@ -75,7 +75,7 @@ def _stocked_recorder():
     recorder = FlightRecorder(capacity=8)
     recorder.note_oplog({
         "t": 0.1, "component": "supervise", "severity": "warn",
-        "event": "worker-died", "backend": "fork",
+        "event": "worker-died", "backend": "shm",
     })
     recorder.note_resources({
         "t": 0.2, "rss_bytes": 50_000_000, "worker_rss_bytes": 10_000_000,
@@ -93,13 +93,13 @@ class TestBundleRoundTrip:
             path = dump_bundle(
                 _stocked_recorder(), str(tmp_path), error=exc,
                 config=RuntimeConfig.adaptive(),
-                state={"backend": "fork", "stage": 1},
+                state={"backend": "shm", "stage": 1},
             )
         assert path.startswith(str(tmp_path))
         bundle = load_bundle(path)
         assert bundle["manifest"]["error"]["type"] == "SpeculationError"
         assert "boom" in bundle["manifest"]["error"]["message"]
-        assert bundle["manifest"]["state"] == {"backend": "fork", "stage": 1}
+        assert bundle["manifest"]["state"] == {"backend": "shm", "stage": 1}
         assert bundle["manifest"]["counts"] == {
             "events": 0, "oplog": 1, "resources": 1,
         }
@@ -128,7 +128,7 @@ class TestBundleRoundTrip:
             path = dump_bundle(
                 _stocked_recorder(), str(tmp_path), error=exc,
                 config=RuntimeConfig.adaptive(),
-                state={"backend": "fork"},
+                state={"backend": "shm"},
             )
         text = render_bundle(path)
         assert "crash" in text
@@ -144,7 +144,7 @@ class TestBundleRoundTrip:
 
 
 class TestCrashBundleEndToEnd:
-    """A SIGKILL'd fork worker escalates to an uncaught SpeculationError;
+    """A SIGKILL'd shm worker escalates to an uncaught SpeculationError;
     the run leaves a crash bundle that the CLI renders."""
 
     def _crash(self, crash_dir):
@@ -154,7 +154,7 @@ class TestCrashBundleEndToEnd:
         loop = chain_loop(n, geometric_chain_targets(n, 0.5))
         with pytest.raises(SpeculationError, match="max_stages"):
             parallelize(loop, 4, RuntimeConfig.adaptive(
-                backend="fork", backend_workers=4,
+                backend="shm", backend_workers=4,
                 os_chaos=OsChaosPlan.kill_workers(0, [1]),
                 max_worker_respawns=0, max_stages=2,
                 crash_dir=str(crash_dir),
@@ -168,7 +168,7 @@ class TestCrashBundleEndToEnd:
         manifest = bundle["manifest"]
         assert manifest["error"]["type"] == "SpeculationError"
         state = manifest["state"]
-        assert state["backend"] == "serial"  # degraded from fork
+        assert state["backend"] == "serial"  # degraded from shm
         degradations = [
             r for r in bundle["oplog"] if r["event"] == "pool-degraded"
         ]
@@ -199,7 +199,7 @@ class TestCrashBundleEndToEnd:
         loop = chain_loop(n, geometric_chain_targets(n, 0.5))
         with pytest.raises(SpeculationError):
             parallelize(loop, 4, RuntimeConfig.adaptive(
-                backend="fork", backend_workers=4,
+                backend="shm", backend_workers=4,
                 os_chaos=OsChaosPlan.kill_workers(0, [1]),
                 max_worker_respawns=0, max_stages=2,
             ))

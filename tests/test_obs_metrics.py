@@ -1,6 +1,6 @@
 """Unit tests for the metrics registry (:mod:`repro.obs.metrics`).
 
-The registry's contract is what the fork backend's determinism rests on:
+The registry's contract is what the pool backends' determinism rests on:
 snapshots are sorted and JSON-ready, merging per-block snapshots in block
 order reproduces a serial run's totals exactly, and a disabled registry
 is free (shared null instruments, no allocation, empty snapshots).

@@ -139,10 +139,10 @@ class TestAdoption:
         ))
         return _records(path)
 
-    def test_fork_supervision_records_flow_through_oplog(
+    def test_shm_supervision_records_flow_through_oplog(
         self, tmp_path, monkeypatch
     ):
-        records = self._run_with_chaos("fork", tmp_path, monkeypatch)
+        records = self._run_with_chaos("shm", tmp_path, monkeypatch)
         events = [r["event"] for r in records]
         assert "run-begin" in events
         assert "run-end" in events
@@ -151,7 +151,7 @@ class TestAdoption:
         respawn = next(r for r in records if r["event"] == "worker-respawned")
         # Legacy supervision record shape is preserved on the new sink.
         assert respawn["component"] == "supervise"
-        assert respawn["backend"] == "fork"
+        assert respawn["backend"] == "shm"
         assert isinstance(respawn["pid"], int)
         assert isinstance(respawn["blocks"], list)
 
@@ -159,7 +159,7 @@ class TestAdoption:
         self, tmp_path, monkeypatch
     ):
         records = self._run_with_chaos(
-            "fork", tmp_path, monkeypatch, env=ENV_ALIAS
+            "shm", tmp_path, monkeypatch, env=ENV_ALIAS
         )
         assert "worker-respawned" in [r["event"] for r in records]
 

@@ -138,7 +138,7 @@ class TestBackendResourceInfo:
     sampled engine run (poking a closed backend directly is brittle)."""
 
     @pytest.mark.skipif(not HAVE_PROC, reason="worker stats need /proc")
-    @pytest.mark.parametrize("backend", ["fork", "shm"])
+    @pytest.mark.parametrize("backend", ["shm"])
     def test_process_pools_report_worker_pids(self, backend):
         status = []
         _sampled_run(backend, status.append)

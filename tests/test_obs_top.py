@@ -101,13 +101,13 @@ class TestTopStateFold:
     def test_degradation_and_supervision_counters(self):
         state = self._state([
             {"plane": "events", "event": "backend_degraded",
-             "from_backend": "fork", "to_backend": "serial"},
+             "from_backend": "shm", "to_backend": "serial"},
             {"plane": "oplog", "component": "supervise",
              "event": "worker-respawned"},
             {"plane": "oplog", "component": "supervise",
              "event": "worker-respawned"},
         ])
-        assert state.degradations == ["fork->serial"]
+        assert state.degradations == ["shm->serial"]
         assert state.supervise["worker-respawned"] == 2
 
     def test_run_failed_marks_done(self):
@@ -155,12 +155,12 @@ class TestRendering:
                     "committed_upto": 5})
         state.feed({"plane": "resources", "rss_bytes": 1_000_000,
                     "worker_rss_bytes": 0, "shm_bytes": 0, "cpu_s": 0.5,
-                    "backend": "fork", "gil": "gil"})
+                    "backend": "shm", "gil": "gil"})
         frame = render_top(state)
         assert "chain" in frame
         assert " 50.0%" in frame
         assert "(5/10 iterations)" in frame
-        assert "backend fork [gil]" in frame
+        assert "backend shm [gil]" in frame
         assert "1.0 MB" in frame
 
     def test_render_without_samples_hints_at_flag(self):

@@ -1,4 +1,4 @@
-"""Worker-pool supervision: real SIGKILL/SIGSTOP chaos against fork/shm.
+"""Worker-pool supervision: real SIGKILL/SIGSTOP chaos against shm.
 
 The logical fault injector simulates processor deaths inside healthy OS
 processes; these tests break the processes for real.  The acceptance bar
@@ -30,7 +30,7 @@ from repro.workloads.synthetic import chain_loop, geometric_chain_targets
 from tests.engine_parity_cases import summarize
 
 P = 4
-CHAOS_BACKENDS = ["fork", "shm"]
+CHAOS_BACKENDS = ["shm"]
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -242,7 +242,7 @@ class TestHangDetection:
 class TestDegradation:
     def test_respawn_budget_exhaustion_degrades_not_errors(self, tmp_path):
         # With a zero respawn budget, the first kill is unrecoverable for
-        # the shm pool -- but the run must complete via fork instead of
+        # the shm pool -- but the run must complete on serial instead of
         # raising, the trace must validate, and the typed BackendDegraded
         # event must round-trip through JSONL.
         trace = tmp_path / "trace.jsonl"
@@ -259,13 +259,13 @@ class TestDegradation:
             (d["from"], d["to"])
             for d in result.supervision["supervise.degradations"]
         ]
-        assert chain == [("shm", "fork")]
+        assert chain == [("shm", "serial")]
         events = load_trace(str(trace))
         validate_events(events)
         degraded = [e for e in events if e.kind == "backend_degraded"]
         assert len(degraded) == 1
         assert degraded[0].from_backend == "shm"
-        assert degraded[0].to_backend == "fork"
+        assert degraded[0].to_backend == "serial"
         assert "respawn budget exhausted" in degraded[0].reason
 
 
@@ -461,9 +461,9 @@ class TestWorkerExceptionContext:
         )
         with pytest.raises(
             BackendError,
-            match=r"fork backend worker \d+ \(pid \d+\) executing "
+            match=r"shm backend worker \d+ \(pid \d+\) executing "
                   r"stage 0 blocks \[\d+\] \(procs \[\d+\]\) raised",
         ):
             parallelize(
-                loop, P, RuntimeConfig.nrd(backend="fork", backend_workers=P)
+                loop, P, RuntimeConfig.nrd(backend="shm", backend_workers=P)
             )

@@ -18,7 +18,7 @@ are flagged too -- a racy read of state another thread mutates is as
 wrong as a racy write, and the annotation is where the "this is
 read-only here" argument belongs.
 
-Fork/shm worker functions are not scanned: they run post-fork in a child
+shm worker functions are not scanned: they run post-fork in a child
 address space where every object is private by construction.
 
 Exits non-zero with a report on violation.  Run from the repo root::
