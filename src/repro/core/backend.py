@@ -330,31 +330,32 @@ def fold_delta(eng, task: BlockTask, delta: BlockDelta) -> BlockOutcome:
 
 class _ChargeLog:
     """Duck-typed stand-in for :class:`~repro.machine.machine.Machine`
-    inside a worker: same memory/costs surface, but charges append to a
-    log instead of a timeline (the parent replays their per-category sums
-    against the real timeline)."""
+    inside a worker: same memory/costs/charge-row surface, but the block's
+    one processor row is a local dict instead of a timeline row.  The
+    parent replays its per-category sums (:func:`fold_delta`); with one
+    block per processor per stage they land on an empty parent row, so
+    the replay yields the floats and ``per_proc`` key order a serial run
+    accumulates."""
 
-    __slots__ = ("memory", "costs", "charges", "metrics")
+    __slots__ = ("memory", "costs", "row", "metrics")
 
     def __init__(self, memory, costs) -> None:
         self.memory = memory
         self.costs = costs
-        self.charges: list[tuple[Category, float]] = []
+        self.row: dict[Category, float] = {}
         self.metrics = NULL_REGISTRY
 
     def charge(self, proc: int, category: Category, amount: float) -> None:
         if amount:
-            self.charges.append((category, amount))
+            self.row[category] = self.row.get(category, 0.0) + amount
 
-    def folded(self) -> list[tuple[Category, float]]:
-        """Per-category sums in first-appearance order: with one block
-        per processor per stage, replaying them (:func:`fold_delta`)
-        yields the floats and ``per_proc`` dict layout a serial run
-        accumulates."""
-        sums: dict[Category, float] = {}
-        for category, amount in self.charges:
-            sums[category] = sums.get(category, 0.0) + amount
-        return list(sums.items())
+    def charge_row(self, proc: int, create: bool = False) -> dict[Category, float]:
+        return self.row
+
+    def proc_time(self) -> float:
+        """Summed row, as :meth:`~repro.machine.timeline.StageRecord.proc_time`
+        sums a serial row (block spans difference two readings)."""
+        return sum(self.row.values())
 
 
 def check_unique_procs(name: str, tasks: list[BlockTask]) -> None:

@@ -69,9 +69,9 @@ class ProcessorState:
 
     def reset(self) -> None:
         """Discard private data and marks (between recursive stages)."""
-        for view in self.views.values():
+        for view in self.views.values():  # hot-path: per array
             view.reset()
-        for shadow in self.shadows.values():
+        for shadow in self.shadows.values():  # hot-path: per array
             shadow.reset()
         self.partials.clear()
         self.executed.clear()
@@ -84,7 +84,7 @@ class ProcessorState:
         the processor.  Reduction arrays are skipped -- their partials
         start at the operator identity, never at the shared values."""
         total = 0
-        for name, view in self.views.items():
+        for name, view in self.views.items():  # hot-path: per array
             if name in skip:
                 continue
             total += view.preload()
@@ -101,7 +101,7 @@ def make_processor_state(machine: Machine, loop: SpeculativeLoop, proc: int) -> 
     """Allocate views and shadows for every tested array of ``loop``."""
     views: dict[str, PrivateView] = {}
     shadows: dict[str, ShadowArray] = {}
-    for spec in loop.arrays:
+    for spec in loop.arrays:  # hot-path: per array
         if not spec.tested:
             continue
         shared = machine.memory[spec.name]
@@ -124,32 +124,60 @@ def make_all_private_state(machine: Machine, loop: SpeculativeLoop, proc: int) -
     indices are provisional)."""
     views: dict[str, PrivateView] = {}
     shadows: dict[str, ShadowArray] = {}
-    for spec in loop.arrays:
+    for spec in loop.arrays:  # hot-path: per array
         shared = machine.memory[spec.name]
         views[spec.name] = make_private_view(shared, sparse=spec.sparse)
         shadows[spec.name] = make_shadow(len(shared), sparse=spec.sparse)
     return ProcessorState(proc=proc, views=views, shadows=shadows)
 
 
+#: Fold slots of the categories a speculative block charges.
+_WORK, _MARK, _COPY_IN, _CHECKPOINT = range(4)
+_SLOT_CATEGORY = (Category.WORK, Category.MARK, Category.COPY_IN, Category.CHECKPOINT)
+
+
 class SpeculativeContext(IterationContext):
-    """Execution context for one processor during one speculative stage.
+    """Execution context for one processor during one speculative block.
 
     Tested arrays go through private views with shadow marking and on-demand
     copy-in; untested arrays are written to shared memory under checkpoint.
-    Virtual time is charged to the owning processor as accesses happen.
+
+    Virtual time is folded, not charged per access: each category's charges
+    add into a block-local sum seeded, on the category's first charge, from
+    the processor's current stage row (``charge_row``), and
+    :meth:`flush_charges` writes every sum back once, in first-appearance
+    order.  Those are the additions, in the order, that per-access
+    ``row[category] += amount`` performs -- and the ``per_proc`` key order
+    it builds -- so the timeline is bit-identical to per-access charging,
+    also when the row already holds charges from a preload or an earlier
+    block on the same processor.  A zero-started sum added once at the end
+    would round differently.  The row is read at the first charge and
+    created only by the flush, so a context may be built before its stage
+    begins, a processor that charged nothing gains no row, and a block
+    that raises writes no charges.
     """
 
     __slots__ = (
         "_machine",
-        "_loop",
-        "_state",
+        "_proc",
+        "_views",
+        "_shadows",
+        "_partials",
+        "_reductions",
+        "_data",
         "_ckpt",
+        "_ckpt_names",
         "_inductions",
         "_iter_marks",
         "_iter_time",
         "_iter_work",
         "_costs",
         "_slowdown",
+        "_mark",
+        "_copy_in",
+        "_sums",
+        "_order",
+        "_seeds",
         "_untested_log",
         "_m_marks",
         "_m_copyin",
@@ -170,21 +198,37 @@ class SpeculativeContext(IterationContext):
         untested_log=None,
     ) -> None:
         super().__init__()
+        # Everything the access paths touch is bound once per block.
         self._machine = machine
-        self._loop = loop
-        self._state = state
+        self._proc = state.proc
+        self._views = state.views
+        self._shadows = state.shadows
+        self._partials = state.partials
+        self._reductions = loop.reductions
+        memory = machine.memory
+        self._data = {name: memory[name].data for name in memory.names()}
         self._ckpt = checkpoints
+        self._ckpt_names = (
+            frozenset() if checkpoints is None else checkpoints.name_set
+        )
         self._inductions = dict(inductions or {})
         # Optional per-iteration mark sink (DDG extraction); maps array name
         # to the current iteration's IterationMarks.
         self._iter_marks: dict[str, IterationMarks] | None = None
         self._iter_time = 0.0
         self._iter_work = 0.0
-        self._costs = machine.costs
+        costs = self._costs = machine.costs
         # Straggler fault: every charge of this block is stretched by the
         # multiplier, but iter_work stays nominal -- the useful work done
         # is unchanged, only the time to do it grows.
         self._slowdown = slowdown
+        self._mark = costs.mark * slowdown
+        self._copy_in = costs.copy_in * slowdown
+        # The fold: per-slot sums (None until seeded), the slots in
+        # first-appearance order, and the stage row the seeds come from.
+        self._sums: list[float | None] = [None] * len(_SLOT_CATEGORY)
+        self._order: list[int] = []
+        self._seeds: dict[Category, float] | None = None
         # Self-check: per-stage recorder of untested-array traffic.
         self._untested_log = untested_log
         # Metrics accumulators: plain slot updates on the hot paths, folded
@@ -216,71 +260,114 @@ class SpeculativeContext(IterationContext):
     def induction_values(self) -> dict[str, int]:
         return dict(self._inductions)
 
-    def _charge(self, category: Category, amount: float) -> None:
-        charged = amount * self._slowdown
-        self._machine.charge(self._state.proc, category, charged)
-        self._iter_time += charged
-        if category is Category.WORK:
-            self._iter_work += amount
+    # -- the charge fold --------------------------------------------------------
+
+    def _charge(self, slot: int, charged: float) -> None:
+        """Fold one charge (already stretched by the slowdown) into the
+        block's sum for ``slot``.  Zero charges are skipped, as
+        ``Machine.charge`` skips them: they must not create a row key."""
+        if charged:
+            sums = self._sums
+            total = sums[slot]
+            if total is None:
+                total = self._seed(slot)
+            sums[slot] = total + charged
+            self._iter_time += charged
+
+    def _seed(self, slot: int) -> float:
+        seeds = self._seeds
+        if seeds is None:
+            # Read, not created: a block cancelled before its flush must
+            # leave no row behind.
+            seeds = self._seeds = self._machine.charge_row(self._proc) or {}
+        self._order.append(slot)
+        return seeds.get(_SLOT_CATEGORY[slot], 0.0)
+
+    def _charge_work(self, amount: float) -> None:
+        self._iter_work += amount
+        self._charge(_WORK, amount * self._slowdown)
+
+    def flush_charges(self) -> None:
+        """Write the block's per-category sums back to the stage row, in
+        first-appearance order, and restart the fold (a later charge
+        re-seeds from the written row, so flushing twice is harmless)."""
+        if not self._order:
+            return
+        row = self._machine.charge_row(self._proc, create=True)
+        sums = self._sums
+        for slot in self._order:  # hot-path: once per category per block
+            row[_SLOT_CATEGORY[slot]] = sums[slot]
+        self._sums = [None] * len(_SLOT_CATEGORY)
+        self._order = []
+        self._seeds = None
 
     # -- memory access ----------------------------------------------------------
 
+    def _reject_reduction(self, name: str) -> None:
+        raise ValueError(
+            f"array {name!r} is declared a reduction; use update() only"
+        )
+
+    def _shared(self, name: str):
+        """The shared data array ``name`` (untested and plain accesses)."""
+        try:
+            return self._data[name]
+        except KeyError:
+            return self._machine.memory[name].data  # raises the named error
+
     def load(self, name: str, index: int):
-        if name in self._loop.reductions:
-            raise ValueError(
-                f"array {name!r} is declared a reduction; use update() only"
-            )
-        view = self._state.views.get(name)
+        if name in self._reductions:
+            self._reject_reduction(name)
+        view = self._views.get(name)
         if view is None:
             # Untested array: direct shared read, no instrumentation.
             if self._untested_log is not None:
-                self._untested_log.note_read(self._state.proc, name, index)
-            return self._machine.memory[name].data[index]
+                self._untested_log.note_read(self._proc, name, index)
+            return self._shared(name)[index]
         value, copied_in = view.load(index)
-        self._state.shadows[name].mark_read(index)
+        self._shadows[name].mark_read(index)
         self._m_marks += 1
-        self._charge(Category.MARK, self._costs.mark)
+        self._charge(_MARK, self._mark)
         if copied_in:
             self._m_copyin[name] = self._m_copyin.get(name, 0) + 1
-            self._charge(Category.COPY_IN, self._costs.copy_in)
+            self._charge(_COPY_IN, self._copy_in)
         if self._iter_marks is not None:
             self._iter_marks[name].mark_read(index)
         return value
 
     def store(self, name: str, index: int, value) -> None:
-        if name in self._loop.reductions:
-            raise ValueError(
-                f"array {name!r} is declared a reduction; use update() only"
-            )
-        view = self._state.views.get(name)
+        if name in self._reductions:
+            self._reject_reduction(name)
+        view = self._views.get(name)
         if view is None:
             if self._untested_log is not None:
-                self._untested_log.note_write(self._state.proc, name, index)
-            if self._ckpt is not None and name in self._ckpt.names:
-                saved = self._ckpt.note_write(self._state.proc, name, index)
+                self._untested_log.note_write(self._proc, name, index)
+            if name in self._ckpt_names:
+                saved = self._ckpt.note_write(self._proc, name, index)
                 if saved:
                     self._m_ckpt[name] = self._m_ckpt.get(name, 0) + saved
                     self._charge(
-                        Category.CHECKPOINT, self._costs.checkpoint_per_elem * saved
+                        _CHECKPOINT,
+                        self._costs.checkpoint_per_elem * saved * self._slowdown,
                     )
-            self._machine.memory[name].data[index] = value
+            self._shared(name)[index] = value
             return
         view.store(index, value)
-        self._state.shadows[name].mark_write(index)
+        self._shadows[name].mark_write(index)
         self._m_marks += 1
-        self._charge(Category.MARK, self._costs.mark)
+        self._charge(_MARK, self._mark)
         if self._iter_marks is not None:
             self._iter_marks[name].mark_write(index, value)
 
     def update(self, name: str, index: int, value) -> None:
-        op = self._loop.reductions.get(name)
+        op = self._reductions.get(name)
         if op is None:
             raise ValueError(f"array {name!r} has no declared reduction operator")
-        partial = self._state.partials.setdefault(name, {})
+        partial = self._partials.setdefault(name, {})
         partial[index] = op.combine(partial.get(index, op.identity), value)
-        self._state.shadows[name].mark_update(index)
+        self._shadows[name].mark_update(index)
         self._m_marks += 1
-        self._charge(Category.MARK, self._costs.mark)
+        self._charge(_MARK, self._mark)
         if self._iter_marks is not None:
             self._iter_marks[name].mark_update(index)
 
@@ -295,23 +382,23 @@ class SpeculativeContext(IterationContext):
         a single bulk read: every index sees the current private state,
         none of this batch's own side effects.
         """
-        if name in self._loop.reductions:
-            raise ValueError(
-                f"array {name!r} is declared a reduction; use update() only"
-            )
+        if name in self._reductions:
+            self._reject_reduction(name)
         idx = np.asarray(indices, dtype=np.int64)
-        view = self._state.views.get(name)
+        view = self._views.get(name)
         if view is None:
             return np.array([self.load(name, int(i)) for i in idx])
         values, copied = view.load_many(idx)
-        self._state.shadows[name].mark_read_many(idx)
+        self._shadows[name].mark_read_many(idx)
         self._m_marks += len(idx)
-        self._charge(Category.MARK, self._costs.mark * len(idx))
+        self._charge(_MARK, self._costs.mark * len(idx) * self._slowdown)
         if copied:
             self._m_copyin[name] = self._m_copyin.get(name, 0) + copied
-            self._charge(Category.COPY_IN, self._costs.copy_in * copied)
+            self._charge(_COPY_IN, self._costs.copy_in * copied * self._slowdown)
         if self._iter_marks is not None:
             marks = self._iter_marks[name]
+            # hot-path: DDG extraction only; the iteration's mark levels
+            # are per-element Python objects.
             for i in idx.tolist():
                 marks.mark_read(i)
         return values
@@ -322,23 +409,25 @@ class SpeculativeContext(IterationContext):
         Later duplicates win, matching the scalar loop.  One
         ``mark_write_many`` on the shadow, one batched MARK charge.
         """
-        if name in self._loop.reductions:
-            raise ValueError(
-                f"array {name!r} is declared a reduction; use update() only"
-            )
+        if name in self._reductions:
+            self._reject_reduction(name)
         idx = np.asarray(indices, dtype=np.int64)
         vals = np.asarray(values)
-        view = self._state.views.get(name)
+        view = self._views.get(name)
         if view is None:
+            # hot-path: untested arrays write through one element at a
+            # time so each first touch is checkpointed and charged.
             for i, v in zip(idx.tolist(), vals):
                 self.store(name, i, v)
             return
         view.store_many(idx, vals)
-        self._state.shadows[name].mark_write_many(idx)
+        self._shadows[name].mark_write_many(idx)
         self._m_marks += len(idx)
-        self._charge(Category.MARK, self._costs.mark * len(idx))
+        self._charge(_MARK, self._costs.mark * len(idx) * self._slowdown)
         if self._iter_marks is not None:
             marks = self._iter_marks[name]
+            # hot-path: DDG extraction only; the iteration's mark levels
+            # are per-element Python objects.
             for i, v in zip(idx.tolist(), vals):
                 marks.mark_write(i, v)
 
@@ -361,7 +450,7 @@ class SpeculativeContext(IterationContext):
     def work(self, units: float) -> None:
         if units < 0:
             raise ValueError("work units must be non-negative")
-        self._charge(Category.WORK, units * self._costs.omega)
+        self._charge_work(units * self._costs.omega)
 
     # -- premature exit -----------------------------------------------------------
 
@@ -380,12 +469,12 @@ class SpeculativeContext(IterationContext):
         """
         registry.counter("shadow.marks").inc(self._m_marks)
         memory = self._machine.memory
-        for name, n in self._m_copyin.items():
+        for name, n in self._m_copyin.items():  # hot-path: per array
             registry.counter("shadow.copy_in.elements").inc(n)
             registry.counter("shadow.copy_in.bytes").inc(
                 n * memory[name].data.itemsize
             )
-        for name, n in self._m_ckpt.items():
+        for name, n in self._m_ckpt.items():  # hot-path: per array
             registry.counter("checkpoint.saved.elements").inc(n)
             registry.counter("checkpoint.saved.bytes").inc(
                 n * memory[name].data.itemsize
@@ -411,7 +500,8 @@ def execute_block(
     death: tuple[int, bool] | None = None,
     cancel=None,
 ) -> SpeculativeContext:
-    """Run ``block``'s iterations on ``block.proc``, charging virtual time.
+    """Run ``block``'s iterations on ``block.proc``, charging virtual time
+    through the context's per-block fold (written back once, at the end).
 
     ``marklists`` (array name -> :class:`~repro.shadow.marklist.MarkList`)
     switches on iteration-level marking for DDG extraction.  Returns the
@@ -448,7 +538,12 @@ def execute_block(
         slowdown=slowdown, untested_log=untested_log,
     )
     omega = machine.costs.omega
+    work_of = None if loop.iter_work is None else loop.work_of
+    body = loop.body
+    iter_times = state.iter_times
+    iter_work = state.iter_work
     completed = 0
+    # hot-path: the iteration loop itself; each iteration runs the body.
     for i in block.iterations():
         if cancel is not None and cancel.is_set():
             raise BlockCancelled(block.proc, i)
@@ -464,18 +559,17 @@ def execute_block(
             ctx.set_iteration_marks(
                 {name: ml.open_level(i) for name, ml in marklists.items()}
             )
-        base = loop.work_of(i) * omega
-        if base:
-            ctx._charge(Category.WORK, base)
-        loop.body(ctx, i)
-        measured, work_only = ctx.end_iteration()
-        state.iter_times[i] = measured
-        state.iter_work[i] = work_only
+        ctx._charge_work(omega if work_of is None else work_of(i) * omega)
+        body(ctx, i)
+        iter_times[i], iter_work[i] = ctx.end_iteration()
         completed += 1
         if ctx.exit_iteration is not None:
             # The iteration that signalled the exit completes; the rest of
             # the block never executes (speculatively validated later).
             break
+    # A block that raised (cancelled, or a body error) never gets here:
+    # like a killed worker's, its charges are not written.
+    ctx.flush_charges()
     state.executed.append(block)
     metrics = getattr(machine, "metrics", None)
     if metrics is not None and metrics.enabled:

@@ -501,7 +501,7 @@ def _run_shm_task(wctx: _ShmWorkerContext, task: BlockTask) -> bytes:
             recorder = _AccessRecorder()
         if task.preload:
             state.preload(log, skip=wctx.reduction_names)
-    charges_before = len(log.charges)
+    virt_before = log.proc_time() if task.collect_spans else 0.0
     host_before = time.perf_counter() if task.collect_spans else 0.0
     ctx = execute_block(
         log, wctx.loop, state, block, ckpt,
@@ -510,11 +510,8 @@ def _run_shm_task(wctx: _ShmWorkerContext, task: BlockTask) -> bytes:
         slowdown=task.slowdown, death=task.death,
     )
     host_dur = time.perf_counter() - host_before if task.collect_spans else 0.0
-    virt_dur = (
-        sum(amount for _, amount in log.charges[charges_before:])
-        if task.collect_spans else 0.0
-    )
-    charges = log.folded()
+    virt_dur = log.proc_time() - virt_before if task.collect_spans else 0.0
+    charges = list(log.row.items())
 
     residue: dict = {}
     metrics_in_slots = 0

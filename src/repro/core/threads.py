@@ -21,9 +21,9 @@ adoption needed because there is only one address space:
   dispatch; views, shadows, partials, iteration times and the executed
   list land in their final location as the block runs, and the merge
   phase has nothing to copy.
-* Virtual-time charges go to a thread-local
-  :class:`~repro.core.backend._ChargeLog` and are replayed against the
-  real timeline **in block order** by
+* Each block folds its virtual-time charges into the row of a
+  thread-local :class:`~repro.core.backend._ChargeLog`, whose sums are
+  replayed against the real timeline **in block order** by
   :func:`~repro.core.backend.fold_delta` -- the same folding the shm
   backend uses.  Metrics accumulate in a per-task private registry merged
   the same way, so concurrent completion order never reaches a
@@ -184,7 +184,7 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> BlockDelt
             # thread-safe: bulk copy-in reads shared arrays, writes only
             # our private views; the charge goes to the thread-local log.
             state.preload(log, skip=eng.reduction_names)
-    charges_before = len(log.charges)
+    virt_before = log.proc_time() if task.collect_spans else 0.0
     host_before = time.perf_counter() if task.collect_spans else 0.0
     try:
         # thread-safe: executes on our exclusive state; untested writes
@@ -204,7 +204,7 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> BlockDelt
         raise
     delta = BlockDelta(
         pos=task.pos,
-        charges=log.folded(),
+        charges=list(log.row.items()),
         fault=ctx.fault,
         fault_permanent=ctx.fault_permanent,
         exit_iteration=ctx.exit_iteration,
@@ -215,9 +215,7 @@ def _run_thread_task(eng, task: BlockTask, cancel: threading.Event) -> BlockDelt
     if task.collect_spans:
         delta.host_start = host_before
         delta.host_dur = time.perf_counter() - host_before
-        delta.virt_dur = sum(
-            amount for _, amount in log.charges[charges_before:]
-        )
+        delta.virt_dur = log.proc_time() - virt_before
     if task.all_private:
         return delta
     if ckpt is not None:

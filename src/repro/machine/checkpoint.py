@@ -38,6 +38,8 @@ class CheckpointManager:
     def __init__(self, memory: MemoryImage, names: Iterable[str], on_demand: bool) -> None:
         self._memory = memory
         self._names = sorted(set(names))
+        self.name_set = frozenset(self._names)
+        """The checkpointed names as a set (per-store membership tests)."""
         self.on_demand = bool(on_demand)
         # name -> index -> (saving proc, old value); first touch wins.
         self._saved: dict[str, dict[int, tuple[int, object]]] = {}

@@ -58,6 +58,16 @@ class Machine:
         if amount:
             self.timeline.current.charge(proc, category, amount)
 
+    def charge_row(self, proc: int, create: bool = False) -> dict[Category, float] | None:
+        """``proc``'s per-category row of the current stage (``None`` while
+        it has none, unless ``create``).  A speculative block folds its
+        charges into block-local sums seeded from this row and writes each
+        sum back once (:class:`~repro.core.executor.SpeculativeContext`),
+        performing the same additions, in the same order, as per-access
+        :meth:`charge` calls."""
+        per_proc = self.timeline.current.per_proc
+        return per_proc[proc] if create else per_proc.get(proc)
+
     def charge_global(self, category: Category, amount: float) -> None:
         """Charge serialized (machine-wide) virtual time."""
         if amount:

@@ -18,6 +18,11 @@ from repro.kernels import get_kernels
 
 _WORD_BITS = 64
 
+#: ``_MASKS[k]`` is the ``uint64`` word with only bit ``k`` set: single-bit
+#: ops index it instead of building two numpy scalars and a shift per call.
+_MASKS = tuple(np.uint64(1) << np.uint64(k) for k in range(_WORD_BITS))
+_CLEAR_MASKS = tuple(~mask for mask in _MASKS)
+
 
 class BitSet:
     """Fixed-capacity set of small non-negative integers.
@@ -89,25 +94,29 @@ class BitSet:
 
     # -- mutation ----------------------------------------------------------
 
-    def _check(self, index: int) -> tuple[int, np.uint64]:
-        if not 0 <= index < self._size:
-            raise IndexError(f"bit {index} out of range [0, {self._size})")
-        return index >> 6, np.uint64(1) << np.uint64(index & 63)
+    # The single-bit ops sit on the speculative access path (three per
+    # dense-shadow read), so each one inlines its bounds check and mask.
+
+    def _out_of_range(self, index: int) -> IndexError:
+        return IndexError(f"bit {index} out of range [0, {self._size})")
 
     def set(self, index: int) -> None:
         """Set a single bit."""
-        word, mask = self._check(index)
-        self._words[word] |= mask
+        if not 0 <= index < self._size:
+            raise self._out_of_range(index)
+        self._words[index >> 6] |= _MASKS[index & 63]
 
     def clear(self, index: int) -> None:
         """Clear a single bit."""
-        word, mask = self._check(index)
-        self._words[word] &= ~mask
+        if not 0 <= index < self._size:
+            raise self._out_of_range(index)
+        self._words[index >> 6] &= _CLEAR_MASKS[index & 63]
 
     def test(self, index: int) -> bool:
         """Return whether a bit is set."""
-        word, mask = self._check(index)
-        return bool(self._words[word] & mask)
+        if not 0 <= index < self._size:
+            raise self._out_of_range(index)
+        return bool(self._words[index >> 6] & _MASKS[index & 63])
 
     def set_many(self, indices: np.ndarray) -> None:
         """Set all bits in ``indices`` (kernel batch op)."""

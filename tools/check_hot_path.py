@@ -34,6 +34,8 @@ HOT_PATHS = (
     "shadow",
     "machine/memory.py",
     "core/analysis.py",
+    "core/executor.py",
+    "util/bitset.py",
 )
 
 ANNOTATION = "hot-path:"
