@@ -82,8 +82,11 @@ class RuntimeConfig:
     machinery.  ``"hint"`` (default) acts only on *exact* certificates --
     loops small enough for a full sequential probe run the
     zero-speculation fast path when provably DOALL, or a single
-    sequential pass when provably cross-iteration dependent; SPECULATE
-    certificates only contribute strategy/window hints.  ``"trust"``
+    sequential pass when provably cross-iteration dependent.  A SPECULATE
+    certificate changes nothing in the run: its strategy/window hint is
+    recorded on ``RunResult.certificate`` and used only by a caller that
+    passes it to ``StrategyPredictor.note_hint`` /
+    ``WindowPredictor.seed`` (``parallelize`` does not).  ``"trust"``
     additionally acts on affine-model certificates from a sampled probe
     of large loops -- sound only if the loop really is affine (see
     docs/runtime-semantics.md for the risk model).  Certification never

@@ -667,6 +667,11 @@ class StageEngine:
                 self.bus.close()
             finally:
                 self.backend.close()
+                # The backend's back-reference is the one cycle through the
+                # engine: dropping it frees the run's views, shadows and
+                # machine by reference counting when the caller lets go,
+                # instead of at the next full garbage collection.
+                self.backend.eng = None
 
     # -- operational plane -------------------------------------------------------
 

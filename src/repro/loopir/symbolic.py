@@ -21,22 +21,102 @@ Two levels of evidence come out of a probe:
   affine (a data-dependent subscript can masquerade as affine on a
   sample), which is why only ``--certify=trust`` acts on it.
 
-The dependence tests themselves (:func:`trace_dependences`,
-:func:`affine_dependences`) are exact over their respective inputs: the
-trace test scans the recorded stream per element, the affine test
-intersects the two index progressions over ``[0, n)`` and checks for a
-common element touched at two different iterations.
+The probe records its accesses as flat columns (:class:`AccessTrace`),
+not as one object per access.  The dependence tests themselves
+(:func:`trace_dependences`, :func:`affine_dependences`) are exact over
+their respective inputs: the trace test groups the columns per element
+and scans every group at once in numpy, the affine test intersects the
+two index progressions over ``[0, n)`` and checks for a common element
+touched at two different iterations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from repro.loopir.context import AccessRecord, IterationContext
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.memory import MemoryImage, SharedArray
+
+#: Access-kind codes of an :class:`AccessTrace`'s ``kind`` column; the
+#: code is the kind letter's position in :data:`KINDS`.
+READ, WRITE, UPDATE = 0, 1, 2
+KINDS = "rwu"
+
+
+@dataclass(frozen=True, eq=False)
+class AccessTrace:
+    """A recorded access stream as flat columns, one row per access.
+
+    Row order is the order the accesses were issued in.  ``array`` holds
+    codes into ``names``; ``kind`` holds :data:`READ`/:data:`WRITE`/
+    :data:`UPDATE`.  All four columns are ``int64`` arrays of one length.
+    """
+
+    iteration: np.ndarray
+    kind: np.ndarray
+    array: np.ndarray
+    index: np.ndarray
+    names: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.iteration)
+
+    @classmethod
+    def from_rows(cls, rows: list[int], names: tuple[str, ...]) -> AccessTrace:
+        """Columns from a flat ``[iteration, kind, array, index, ...]`` list."""
+        flat = np.fromiter(rows, dtype=np.int64, count=len(rows))
+        iteration, kind, array, index = flat.reshape(-1, 4).T.copy()
+        return cls(iteration, kind, array, index, names)
+
+    @classmethod
+    def from_records(cls, records: Iterable[AccessRecord]) -> AccessTrace:
+        records = list(records)
+        names = tuple(sorted({r.array for r in records}))
+        code = {name: k for k, name in enumerate(names)}
+        rows = [
+            x
+            for r in records
+            for x in (r.iteration, KINDS.index(r.kind), code[r.array], r.index)
+        ]
+        return cls.from_rows(rows, names)
+
+    def records(self) -> list[AccessRecord]:
+        """The rows as :class:`AccessRecord` objects (built on demand)."""
+        return list(
+            map(
+                AccessRecord,
+                self.iteration.tolist(),
+                [KINDS[k] for k in self.kind.tolist()],
+                [self.names[a] for a in self.array.tolist()],
+                self.index.tolist(),
+            )
+        )
+
+
+class _ArrayTable(dict):
+    """``name -> (code, data)`` for the probe's scratch arrays.
+
+    An undeclared name raises the memory image's own ``KeyError``, so a
+    probe that aborts on one reports the same error as a real run.
+    """
+
+    __slots__ = ("_memory",)
+
+    def __init__(self, memory: MemoryImage) -> None:
+        super().__init__(
+            (name, (code, memory[name].data))
+            for code, name in enumerate(memory.names())
+        )
+        self._memory = memory
+
+    def __missing__(self, name: str):
+        # Every declared array is in the table, so this lookup raises.
+        return self._memory[name]
 
 
 class ProbeContext(IterationContext):
@@ -45,14 +125,16 @@ class ProbeContext(IterationContext):
     Like :class:`~repro.loopir.context.SequentialContext` but always
     tracing, never enforcing reduction-only access discipline (the
     certifier wants to *observe* what the body does, not police it), and
-    collecting premature exits instead of acting on them.
+    collecting premature exits instead of acting on them.  Each access
+    appends ``iteration, kind, array code, index`` to one flat list;
+    :meth:`trace` turns it into an :class:`AccessTrace`.
     """
 
     __slots__ = (
-        "_memory",
+        "_arrays",
+        "_rows",
         "_reductions",
         "_inductions",
-        "records",
         "exit_at",
         "extra_work",
     )
@@ -64,38 +146,51 @@ class ProbeContext(IterationContext):
         inductions: dict[str, int] | None = None,
     ) -> None:
         super().__init__()
-        self._memory = memory
+        self._arrays = _ArrayTable(memory)
+        self._rows: list[int] = []
         self._reductions = dict(reductions or {})
         self._inductions = dict(inductions or {})
-        self.records: list[AccessRecord] = []
         self.exit_at: int | None = None
         self.extra_work = 0.0
 
+    def trace(self) -> AccessTrace:
+        return AccessTrace.from_rows(self._rows, tuple(self._arrays))
+
     def load(self, name: str, index: int):
-        self.records.append(AccessRecord(self.iteration, "r", name, int(index)))
-        return self._memory[name].data[index]
+        code, data = self._arrays[name]
+        self._rows.extend((self.iteration, READ, code, index))
+        return data[index]
 
     def store(self, name: str, index: int, value) -> None:
-        self.records.append(AccessRecord(self.iteration, "w", name, int(index)))
-        self._memory[name].data[index] = value
+        code, data = self._arrays[name]
+        self._rows.extend((self.iteration, WRITE, code, index))
+        data[index] = value
 
     def update(self, name: str, index: int, value) -> None:
-        self.records.append(AccessRecord(self.iteration, "u", name, int(index)))
+        code, data = self._arrays[name]
+        self._rows.extend((self.iteration, UPDATE, code, index))
         op = self._reductions.get(name)
-        data = self._memory[name].data
         data[index] = op.combine(data[index], value) if op is not None else value
 
     # -- bulk memory access -------------------------------------------------------
 
+    def _record_many(self, kind: int, name: str, idx: np.ndarray) -> np.ndarray:
+        code, data = self._arrays[name]
+        rows = np.empty((len(idx), 4), dtype=np.int64)
+        rows[:, :3] = (self.iteration, kind, code)
+        rows[:, 3] = idx
+        self._rows.extend(rows.ravel().tolist())
+        return data
+
     def load_many(self, name: str, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
-        return np.array([self.load(name, int(i)) for i in idx])
+        data = self._record_many(READ, name, idx)
+        return data[idx]
 
     def store_many(self, name: str, indices, values) -> None:
-        # Scalar loop: later duplicates win, matching the bulk contract.
+        # Fancy assignment: later duplicates win, matching the bulk contract.
         idx = np.asarray(indices, dtype=np.int64)
-        for i, v in zip(idx.tolist(), np.asarray(values)):
-            self.store(name, i, v)
+        self._record_many(WRITE, name, idx)[idx] = values
 
     def bump(self, name: str) -> int:
         value = self._inductions[name]
@@ -136,13 +231,30 @@ class ProbeResult:
     full: bool
     """Every iteration in ``[0, n)`` was executed with sequential
     semantics (the trace is exact evidence)."""
-    records: list[AccessRecord]
+    trace: AccessTrace
     exit_at: int | None
-    uniform: bool
-    """Every probed iteration issued the same (kind, array) call sequence."""
-    sites: list[AffineSite] | None
-    """Exact affine fits per call site; ``None`` when the probe was not
-    uniform or some site's indices do not fit ``stride * i + offset``."""
+
+    @cached_property
+    def records(self) -> list[AccessRecord]:
+        """The trace as :class:`AccessRecord` objects, built on first use."""
+        return self.trace.records()
+
+    @cached_property
+    def _fit(self) -> tuple[bool, list[AffineSite] | None]:
+        return _fit_sites(self.trace, self.iterations, self.exit_at)
+
+    @property
+    def uniform(self) -> bool:
+        """Every probed iteration issued the same (kind, array) call
+        sequence."""
+        return self._fit[0]
+
+    @property
+    def sites(self) -> list[AffineSite] | None:
+        """Exact affine fits per call site; ``None`` when the probe was not
+        uniform or some site's indices do not fit ``stride * i + offset``.
+        Fitted on first use: the exact path of a full probe never asks."""
+        return self._fit[1]
 
 
 def probe_loop(
@@ -162,10 +274,12 @@ def probe_loop(
     the result is only usable through the affine model).
     """
     n = loop.n_iterations
-    base = memory if memory is not None else loop.materialize()
-    scratch = MemoryImage(
-        SharedArray(name, base[name].data) for name in base.names()
-    )
+    if memory is None:
+        scratch = loop.materialize()  # already a fresh copy
+    else:
+        scratch = MemoryImage(
+            SharedArray(name, memory[name].data) for name in memory.names()
+        )
     full = n <= limit
     if full:
         iterations = list(range(n))
@@ -176,60 +290,71 @@ def probe_loop(
         scratch, reductions=loop.reductions,
         inductions=loop.initial_inductions(),
     )
+    body = loop.body
+    # hot-path: one body call per probed iteration; the accesses it issues
+    # append to flat columns.
     for i in iterations:
         ctx.iteration = i
-        loop.body(ctx, i)
+        body(ctx, i)
         if full and ctx.exit_at is not None:
             break
-    uniform, sites = _fit_sites(ctx.records, iterations, ctx.exit_at)
     return ProbeResult(
         n=n,
         iterations=iterations,
         full=full,
-        records=ctx.records,
+        trace=ctx.trace(),
         exit_at=ctx.exit_at,
-        uniform=uniform,
-        sites=sites,
     )
 
 
 def _fit_sites(
-    records: list[AccessRecord],
+    trace: AccessTrace,
     iterations: list[int],
     exit_at: int | None,
 ) -> tuple[bool, list[AffineSite] | None]:
-    """Group the trace by call ordinal and fit each site affinely."""
-    per_iter: dict[int, list[AccessRecord]] = {}
-    for rec in records:
-        per_iter.setdefault(rec.iteration, []).append(rec)
+    """Fit each call ordinal affinely across the executed iterations.
+
+    The probe runs its iterations in ascending order, so a uniform trace
+    reshapes to one row per executed iteration and one column per call
+    site.
+    """
     executed = [i for i in iterations if exit_at is None or i <= exit_at]
     if not executed:
         return True, []
-    signatures = {
-        tuple((r.kind, r.array) for r in per_iter.get(i, ())) for i in executed
-    }
-    if len(signatures) != 1:
+    keep = slice(None) if exit_at is None else trace.iteration <= exit_at
+    m = len(executed)
+    if len(trace.iteration[keep]) % m:
         return False, None
-    signature = next(iter(signatures))
-    if len(executed) < 2:
+    its, kinds, arrays, x = (
+        column[keep].reshape(m, -1)
+        for column in (trace.iteration, trace.kind, trace.array, trace.index)
+    )
+    iters = np.asarray(executed, dtype=np.int64)[:, None]
+    if (
+        (its != iters).any()
+        or (kinds != kinds[0]).any()
+        or (arrays != arrays[0]).any()
+    ):
+        return False, None
+    if m < 2:
         # One data point cannot pin a stride; callers treat a single-
         # iteration loop as trivially independent before fitting.
         return True, None
-    sites: list[AffineSite] = []
-    i0, i1 = executed[0], executed[1]
-    for ordinal, (kind, array) in enumerate(signature):
-        x0 = per_iter[i0][ordinal].index
-        x1 = per_iter[i1][ordinal].index
-        span = i1 - i0
-        if (x1 - x0) % span:
-            return True, None
-        stride = (x1 - x0) // span
-        offset = x0 - stride * i0
-        for i in executed:
-            if per_iter[i][ordinal].index != stride * i + offset:
-                return True, None
-        sites.append(AffineSite(ordinal, kind, array, stride, offset))
-    return True, sites
+    # The first two iterations pin each site's stride; an uneven step
+    # then fails the check against the second iteration itself.
+    stride = (x[1] - x[0]) // (executed[1] - executed[0])
+    offset = x[0] - stride * executed[0]
+    if (x != stride * iters + offset).any():
+        return True, None
+    return True, [
+        AffineSite(ordinal, KINDS[k], trace.names[a], s, o)
+        for ordinal, (k, a, s, o) in enumerate(
+            zip(
+                kinds[0].tolist(), arrays[0].tolist(),
+                stride.tolist(), offset.tolist(),
+            )
+        )
+    ]
 
 
 @dataclass
@@ -249,53 +374,89 @@ class DependenceSummary:
     """Distinct iterations that are the sink of at least one dependence."""
 
 
-def trace_dependences(records: list[AccessRecord], n: int) -> DependenceSummary:
+def _flow_summary(
+    srcs: np.ndarray, dsts: np.ndarray
+) -> tuple[list[tuple[int, int]], int]:
+    """Distinct ``(source, sink)`` flow edges in sorted order, and the
+    longest chain through them (``1`` when there is none)."""
+    if not len(srcs):
+        return [], 1
+    # One int64 key per edge: iterations span one loop's range, so
+    # ``span ** 2`` stays far below the int64 limit.
+    lo = int(min(srcs.min(), dsts.min()))
+    span = int(max(srcs.max(), dsts.max())) - lo + 1
+    src, dst = np.divmod(np.unique((srcs - lo) * span + (dsts - lo)), span)
+    edges = list(zip((src + lo).tolist(), (dst + lo).tolist()))
+    # Every edge points forward (source < sink), so visiting sinks in
+    # ascending order finalizes each source's depth before it is read.
+    by_sink = np.argsort(dst)
+    depth = [1] * span
+    # hot-path: longest-path pass, one step per distinct flow edge.
+    for s, d in zip(src[by_sink].tolist(), dst[by_sink].tolist()):
+        if depth[s] >= depth[d]:
+            depth[d] = depth[s] + 1
+    return edges, max(depth)
+
+
+def trace_dependences(
+    trace: AccessTrace | Iterable[AccessRecord], n: int
+) -> DependenceSummary:
     """Exact dependence extraction from a full sequential trace.
 
-    Scans each element's access history in iteration order.  Reduction
-    (``u``) accesses commute with each other, so u-u sharing is not a
-    conflict; any r/w access mixing with another iteration's write (or
-    update) is.
+    Groups the trace per element (a stable sort on ``(array, index)``
+    keeps each element's accesses in trace order) and scans every group
+    at once.  Reduction (``u``) accesses commute with each other, so u-u
+    sharing is not a conflict; any r/w access mixing with another
+    iteration's write (or update) is.  A read is the sink of a flow edge
+    from the element's previous write when that write came from an
+    earlier iteration; a write is a sink when the previous write came
+    from another iteration.  ``trace`` may also be a sequence of
+    :class:`AccessRecord`.
     """
-    by_elem: dict[tuple[str, int], list[tuple[int, str]]] = {}
-    for rec in records:
-        by_elem.setdefault((rec.array, rec.index), []).append(
-            (rec.iteration, rec.kind)
+    if not isinstance(trace, AccessTrace):
+        trace = AccessTrace.from_records(trace)
+    total = len(trace)
+    if not total:
+        return DependenceSummary(
+            conflicts=0, flow_edges=[], critical_path=1, max_distance=0,
+            sink_iterations=0,
         )
-    conflicts = 0
-    flow: dict[int, set[int]] = {}
-    max_distance = 0
-    sinks: set[int] = set()
-    for accesses in by_elem.values():
-        last_write: int | None = None
-        touched = {i for i, _ in accesses}
-        kinds = {k for _, k in accesses}
-        # Cross-iteration sharing invalidates DOALL unless every access is
-        # a read, or every access is a commuting reduction update.
-        if len(touched) > 1 and kinds != {"r"} and kinds != {"u"}:
-            conflicts += 1
-        for iteration, kind in accesses:
-            if kind == "r" and last_write is not None and last_write < iteration:
-                flow.setdefault(iteration, set()).add(last_write)
-                max_distance = max(max_distance, iteration - last_write)
-                sinks.add(iteration)
-            if kind == "w":
-                if last_write is not None and last_write != iteration:
-                    sinks.add(iteration)
-                last_write = iteration
-    depth: dict[int, int] = {}
-    for sink in sorted(flow):
-        depth[sink] = 1 + max(
-            (depth.get(src, 1) for src in flow[sink]), default=1
-        )
-    critical = max(depth.values(), default=1)
-    edges = [(src, sink) for sink, srcs in flow.items() for src in sorted(srcs)]
+    order = np.lexsort((trace.index, trace.array))
+    array, index = trace.array[order], trace.index[order]
+    it, kind = trace.iteration[order], trace.kind[order]
+    first = np.ones(total, dtype=bool)
+    first[1:] = (array[1:] != array[:-1]) | (index[1:] != index[:-1])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=total)
+
+    # Cross-iteration sharing invalidates DOALL unless every access is a
+    # read, or every access is a commuting reduction update.
+    shared = np.minimum.reduceat(it, starts) != np.maximum.reduceat(it, starts)
+    reads = np.add.reduceat(kind == READ, starts, dtype=np.int64)
+    updates = np.add.reduceat(kind == UPDATE, starts, dtype=np.int64)
+    conflicts = int(
+        np.count_nonzero(shared & (reads != sizes) & (updates != sizes))
+    )
+
+    # Position of each access's previous write within its own group.
+    is_write = kind == WRITE
+    positions = np.arange(total)
+    latest = np.maximum.accumulate(np.where(is_write, positions, -1))
+    prev = np.empty(total, dtype=np.int64)
+    prev[0] = -1
+    prev[1:] = latest[:-1]
+    has_prev = prev >= np.repeat(starts, sizes)
+    writer = it[np.maximum(prev, 0)]
+    flow = (kind == READ) & has_prev & (writer < it)
+    rewrite = is_write & has_prev & (writer != it)
+    srcs, dsts = writer[flow], it[flow]
+    edges, critical = _flow_summary(srcs, dsts)
     return DependenceSummary(
         conflicts=conflicts,
-        flow_edges=sorted(edges),
+        flow_edges=edges,
         critical_path=critical,
-        max_distance=max_distance,
-        sink_iterations=len(sinks),
+        max_distance=int((dsts - srcs).max()) if len(dsts) else 0,
+        sink_iterations=len(np.union1d(dsts, it[rewrite])),
     )
 
 
@@ -312,7 +473,8 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
     intersection is a vectorized exact computation, not a heuristic.
     """
     conflicts = 0
-    flow: dict[int, set[int]] = {}
+    flow_srcs: list = [np.empty(0, dtype=np.int64)]
+    flow_dsts: list = [np.empty(0, dtype=np.int64)]
     max_distance = 0
     sinks: set[int] = set()
 
@@ -323,12 +485,14 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
         sinks.add(dst)
         max_distance = max(max_distance, dst - src)
         if is_flow and i_src < i_dst:
-            flow.setdefault(i_dst, set()).add(i_src)
+            flow_srcs.append([i_src])
+            flow_dsts.append([i_dst])
 
+    # hot-path: site pairs, each tested with one vectorized intersection.
     for a in sites:
         if a.kind not in ("w", "u"):
             continue
-        for b in sites:
+        for b in sites:  # hot-path: site pairs
             if b.array != a.array:
                 continue
             if a.kind == "u" and b.kind == "u":
@@ -374,18 +538,15 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
             max_distance = max(max_distance, int((dsts - srcs).max()))
             if is_flow:
                 reads_after = ib[diff] > ia[diff]
-                for src, dst in zip(ia[diff][reads_after], ib[diff][reads_after]):
-                    flow.setdefault(int(dst), set()).add(int(src))
-    depth: dict[int, int] = {}
-    for sink in sorted(flow):
-        depth[sink] = 1 + max(
-            (depth.get(src, 1) for src in flow[sink]), default=1
-        )
-    edges = [(src, sink) for sink, srcs in flow.items() for src in sorted(srcs)]
+                flow_srcs.append(ia[diff][reads_after])
+                flow_dsts.append(ib[diff][reads_after])
+    edges, critical = _flow_summary(
+        np.concatenate(flow_srcs), np.concatenate(flow_dsts)
+    )
     return DependenceSummary(
         conflicts=conflicts,
-        flow_edges=sorted(edges),
-        critical_path=max(depth.values(), default=1),
+        flow_edges=edges,
+        critical_path=critical,
         max_distance=max_distance,
         sink_iterations=len(sinks),
     )

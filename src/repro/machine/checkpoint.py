@@ -41,11 +41,13 @@ class CheckpointManager:
         self.name_set = frozenset(self._names)
         """The checkpointed names as a set (per-store membership tests)."""
         self.on_demand = bool(on_demand)
-        # name -> index -> (saving proc, old value); first touch wins.
-        self._saved: dict[str, dict[int, tuple[int, object]]] = {}
+        # name -> index -> old value; first touch wins.
+        self._saved: dict[str, dict[int, object]] = {}
         self._full: dict[str, np.ndarray] = {}
-        # name -> index -> set of procs that wrote it this stage.
-        self._writers: dict[str, dict[int, set[int]]] = {}
+        # name -> index -> bit mask of the procs that wrote it this stage.
+        # Ints, not per-element sets and tuples: an untested store then
+        # allocates no object the garbage collector has to track.
+        self._writers: dict[str, dict[int, int]] = {}
         self.elements_checkpointed = 0
         self.last_restored_bytes = 0
         self._stage_active = False
@@ -84,15 +86,15 @@ class CheckpointManager:
             )
         if name not in self._saved:
             raise CheckpointError(f"array {name!r} is not under checkpoint")
-        writers = self._writers[name].setdefault(index, set())
-        writers.add(proc)
+        writers = self._writers[name]
+        writers[index] = writers.get(index, 0) | 1 << proc
         saved = self._saved[name]
         if index not in saved:
             if self.on_demand:
-                saved[index] = (proc, self._memory[name].data[index])
+                saved[index] = self._memory[name].data[index]
                 self.elements_checkpointed += 1
                 return 1
-            saved[index] = (proc, self._full[name][index])
+            saved[index] = self._full[name][index]
         return 0
 
     def note_write_many(self, proc: int, name: str, indices: np.ndarray) -> int:
@@ -115,8 +117,9 @@ class CheckpointManager:
         saved = self._saved[name]
         new: list[int] = []
         seen_new: set[int] = set()
+        bit = 1 << proc
         for index in ids:
-            writers_map.setdefault(index, set()).add(proc)
+            writers_map[index] = writers_map.get(index, 0) | bit
             if index not in saved and index not in seen_new:
                 seen_new.add(index)
                 new.append(index)
@@ -124,7 +127,7 @@ class CheckpointManager:
             source = self._memory[name].data if self.on_demand else self._full[name]
             old = get_kernels().gather(source, np.fromiter(new, np.int64, len(new)))
             for k, index in enumerate(new):
-                saved[index] = (proc, old[k])
+                saved[index] = old[k]
             if self.on_demand:
                 self.elements_checkpointed += len(new)
         return len(new) if self.on_demand else 0
@@ -136,7 +139,7 @@ class CheckpointManager:
         Raises if a committing and a failed processor both wrote the same
         untested element (contract violation).
         """
-        failed = set(failed_procs)
+        failed = _mask(failed_procs)
         restored = 0
         self.last_restored_bytes = 0
         for name in self._names:
@@ -148,11 +151,11 @@ class CheckpointManager:
                 touched_failed = writers & failed
                 if not touched_failed:
                     continue
-                if writers - failed:
+                if writers & ~failed:
                     raise CheckpointError(
                         f"untested array {name!r} element {index} written by both "
-                        f"committing procs {sorted(writers - failed)} and failed "
-                        f"procs {sorted(touched_failed)}; declare it tested instead"
+                        f"committing procs {_procs(writers & ~failed)} and failed "
+                        f"procs {_procs(touched_failed)}; declare it tested instead"
                     )
                 dirty.append(index)
             if dirty:
@@ -160,7 +163,7 @@ class CheckpointManager:
                 # per-element Python loop over the whole array.
                 indices = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
                 old = get_kernels().pack_values(
-                    [saved[index][1] for index in dirty], data.dtype
+                    [saved[index] for index in dirty], data.dtype
                 )
                 get_kernels().scatter(data, indices, old)
                 restored += len(dirty)
@@ -174,13 +177,24 @@ class CheckpointManager:
 
     def modified_by(self, procs: Iterable[int]) -> dict[str, list[int]]:
         """Indices written by the given processors, per array (diagnostics)."""
-        wanted = set(procs)
+        wanted = _mask(procs)
         return {
             name: sorted(
                 i for i, writers in self._writers[name].items() if writers & wanted
             )
             for name in self._names
         }
+
+
+def _mask(procs: Iterable[int]) -> int:
+    mask = 0
+    for proc in procs:
+        mask |= 1 << proc
+    return mask
+
+
+def _procs(mask: int) -> list[int]:
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 def verify_untested_isolation(

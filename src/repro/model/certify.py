@@ -15,7 +15,8 @@ analyzes its access pattern (via the symbolic probe layer in
 * ``SPECULATE`` -- neither extreme is provable (or the loop uses
   machinery the fast path cannot honor: speculative inductions,
   reductions, premature exits).  The certificate still carries a
-  strategy/window *hint* for :mod:`repro.sched.predictor`.
+  strategy/window *hint*; ``parallelize`` only records it on the result,
+  and a caller may pass it to :mod:`repro.sched.predictor`.
 
 Evidence quality is tracked by ``LoopCertificate.exact``: a full
 sequential probe (every iteration executed with reference semantics)
@@ -184,7 +185,7 @@ def certify_loop(
         )
 
     if probe.full:
-        deps = trace_dependences(probe.records, n)
+        deps = trace_dependences(probe.trace, n)
         stats = {
             "probed": len(probe.iterations),
             "conflicts": deps.conflicts,

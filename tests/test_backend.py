@@ -7,6 +7,8 @@ vectorized view/shadow/context operations the backends and the commit
 phase rely on.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,30 @@ class TestShmSegmentLifecycle:
 
 
 # -- engine-bypassing runners refuse non-serial backends --------------------------
+
+
+class TestRunTeardown:
+    @pytest.mark.parametrize("backend", ["serial", "threads", "shm"])
+    def test_finished_run_leaves_no_cyclic_garbage(self, backend):
+        # A finished run's engine -- machine, views, shadows, checkpoint --
+        # is freed by reference counting, not left for the next full
+        # garbage collection (which would hold its memory until then).
+        from repro.core.engine import StageEngine
+        from repro.workloads.synthetic import random_dependence_loop
+
+        gc.collect()
+        gc.disable()
+        try:
+            res = parallelize(
+                random_dependence_loop(64, 0.3, 4, seed=5), 4,
+                RuntimeConfig.adaptive(backend=backend, certify="off"),
+            )
+            assert res.n_stages > 1
+            del res
+            alive = [o for o in gc.get_objects() if isinstance(o, StageEngine)]
+        finally:
+            gc.enable()
+        assert alive == []
 
 
 class TestSerialOnlyGuards:

@@ -95,6 +95,20 @@ class TestContractEnforcement:
         with pytest.raises(CheckpointError):
             ckpt.restore_failed([5])
 
+    def test_violation_names_every_writer(self):
+        # Writers are kept as a bit mask per element; processor ids past
+        # 64 must still come back out, sorted, in the error.
+        ckpt = CheckpointManager(make_memory(), ["B"], on_demand=True)
+        ckpt.begin_stage()
+        for proc in (70, 0, 5, 3):
+            ckpt.note_write_many(proc, "B", np.array([3, 3]))
+        with pytest.raises(
+            CheckpointError,
+            match=r"committing procs \[0, 3\] and failed procs \[5, 70\]",
+        ):
+            ckpt.restore_failed([70, 5])
+        assert ckpt.modified_by([70]) == {"B": [3]}
+
     def test_unknown_array_rejected(self):
         ckpt = CheckpointManager(make_memory(), ["B"], on_demand=True)
         ckpt.begin_stage()
