@@ -354,14 +354,15 @@ def host_perf(quick: bool) -> ExperimentResult:
         f"parity {'ok' if fastpath['parity_ok'] else 'MISMATCH'}"
     )
     # Both overhead ratios gate CI at a 5% budget, far below run-to-run
-    # scheduler noise on a short run: measure them on runs 4x longer than
-    # the workload sweeps and with at least 15 interleaved pairs, which
-    # empirically keeps the median ratio within ~3% even on a loaded
-    # 1-cpu runner.  (The sampler's cost is fixed per run -- thread
-    # start/stop + one final sample, ~0.15 ms -- so the longer run also
-    # amortizes it to its honest steady-state share.)
-    obs_n = 2048 if quick else 8192
-    gate_n = 4 * obs_n
+    # scheduler noise on a short run: measure them on runs long enough
+    # that a base serial run takes ~100 ms or more (n=32768 took
+    # 0.09-0.17 s on a 2-cpu host) and with at least
+    # 15 interleaved pairs, which empirically keeps the median ratio
+    # within ~3% even on a loaded 1-cpu runner.  (The sampler's cost is
+    # fixed per run -- thread start/stop + one final sample, ~0.15 ms --
+    # so the longer run also amortizes it to its honest steady-state
+    # share.)
+    gate_n = 32768 if quick else 65536
     gate_repeats = max(repeats, 15)
     overhead = _metrics_overhead(
         lambda: fully_parallel_loop(gate_n), n_procs, gate_repeats

@@ -407,13 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
         "on a background thread; merged into --perfetto counter tracks",
     )
     run_p.add_argument(
-        "--certify", choices=("off", "hint", "trust"), default=None,
+        "--certify", choices=("off", "hint"), default=None,
         dest="certify",
         help="static certification front-end: hint (default) runs "
         "provably-independent loops on the zero-speculation fast path "
         "and provably-sequential loops in order (exact full-probe "
-        "evidence only), trust also acts on affine-model evidence from "
-        "sampled probes, off disables certification entirely",
+        "evidence only), off disables certification entirely",
     )
     run_p.add_argument(
         "--crash-dir", default=None, dest="crash_dir", metavar="DIR",

@@ -86,10 +86,10 @@ class RuntimeConfig:
     certificate changes nothing in the run: its strategy/window hint is
     recorded on ``RunResult.certificate`` and used only by a caller that
     passes it to ``StrategyPredictor.note_hint`` /
-    ``WindowPredictor.seed`` (``parallelize`` does not).  ``"trust"``
-    additionally acts on affine-model certificates from a sampled probe
-    of large loops -- sound only if the loop really is affine (see
-    docs/runtime-semantics.md for the risk model).  Certification never
+    ``WindowPredictor.seed`` (``parallelize`` does not).  Affine-model
+    certificates from a sampled probe of a large loop are never acted
+    on: a data-dependent subscript can look affine on the sample (see
+    docs/runtime-semantics.md).  Certification never
     applies when an explicit strategy object is passed, or under fault
     injection / OS chaos (the fast path has no rollback machinery)."""
 
@@ -235,10 +235,9 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.window_size is not None and self.window_size < 1:
             raise ConfigurationError("window_size must be >= 1")
-        if self.certify not in ("off", "hint", "trust"):
+        if self.certify not in ("off", "hint"):
             raise ConfigurationError(
-                f"unknown certify mode {self.certify!r}; "
-                "known: off, hint, trust"
+                f"unknown certify mode {self.certify!r}; known: off, hint"
             )
         if self.max_stages < 1:
             raise ConfigurationError("max_stages must be >= 1")

@@ -37,6 +37,7 @@ from repro.core.stage import (
     committed_work,
     make_speculative_machine,
     perform_restore,
+    record_iter_times,
 )
 from repro.core.window import default_window
 from repro.errors import ConfigurationError, NoProgressError, SpeculationError
@@ -193,9 +194,7 @@ def extract_ddg(
             for k, i in enumerate(block.iterations()):
                 marks = {name: ml_dict[name].level(k) for name in tested}
                 _log_iteration_edges(edges, lastref, i, marks)
-            times = states[block.proc].iter_times
-            for i in block.iterations():
-                final_iter_times[i] = times[i]
+        record_iter_times(final_iter_times, states, committing)
 
         restored = perform_restore(machine, ckpt, [blk.proc for blk in failing])
         reinit_states(machine, [states[blk.proc] for blk in failing])

@@ -66,6 +66,7 @@ from repro.core.stage import (
     charge_checkpoint_fault_recovery,
     committed_work,
     perform_restore,
+    record_iter_times,
 )
 from repro.errors import (
     ConfigurationError,
@@ -249,10 +250,7 @@ class Strategy:
             eng.machine, eng.loop, [eng.states[b.proc] for b in committing]
         )
         stage_work = committed_work(eng.states, committing)
-        for block in committing:
-            times = eng.states[block.proc].iter_times
-            for i in block.iterations():
-                eng.final_iter_times[i] = times[i]
+        record_iter_times(eng.final_iter_times, eng.states, committing)
         return committed_elements, stage_work
 
     def advance(self, eng: "StageEngine", committing: list[Block]) -> int:
@@ -1034,10 +1032,7 @@ class StageEngine:
             + [self.states[exit_block.proc]],
         )
         stage_work = committed_work(self.states, committing)
-        for block in committing:
-            times = self.states[block.proc].iter_times
-            for i in block.iterations():
-                self.final_iter_times[i] = times[i]
+        record_iter_times(self.final_iter_times, self.states, committing)
         prefix = range(exit_block.start, e + 1)
         times = self.states[exit_block.proc].iter_times
         works = self.states[exit_block.proc].iter_work

@@ -17,10 +17,17 @@ from repro.loopir.context import IterationContext
 from repro.loopir.loop import SpeculativeLoop
 from repro.machine.checkpoint import CheckpointManager
 from repro.machine.machine import Machine
-from repro.machine.memory import PrivateView, make_private_view
+from repro.machine.memory import (
+    DensePrivateView,
+    PrivateView,
+    SparsePrivateView,
+    make_private_view,
+)
 from repro.machine.timeline import Category
 from repro.shadow import ShadowArray, make_shadow
+from repro.shadow.dense import DenseShadow
 from repro.shadow.marklist import IterationMarks
+from repro.shadow.sparse import SparseShadow
 from repro.util.blocks import Block
 
 
@@ -135,12 +142,52 @@ def make_all_private_state(machine: Machine, loop: SpeculativeLoop, proc: int) -
 _WORK, _MARK, _COPY_IN, _CHECKPOINT = range(4)
 _SLOT_CATEGORY = (Category.WORK, Category.MARK, Category.COPY_IN, Category.CHECKPOINT)
 
+#: Lane kinds (first field of a lane tuple, see ``SpeculativeContext``).
+_DENSE, _SPARSE, _UNTESTED, _GENERIC = range(4)
+
+#: ``_BITS[k]`` is the Python int with only bit ``k`` set; indexing it with
+#: ``index & 63`` keeps the word arithmetic in Python ints even when the
+#: body passes a numpy integer index.
+_BITS = tuple(1 << k for k in range(64))
+
+_ABSENT = object()
+
+
+def _out_of_range(name: str, index: int, n: int) -> IndexError:
+    return IndexError(f"element {index} of {name!r} out of range [0, {n})")
+
 
 class SpeculativeContext(IterationContext):
     """Execution context for one processor during one speculative block.
 
     Tested arrays go through private views with shadow marking and on-demand
     copy-in; untested arrays are written to shared memory under checkpoint.
+
+    **Access lanes.**  The constructor binds one lane per array: a tuple of
+    the storage an access to it touches.  ``load`` and ``store`` do the
+    view, shadow and checkpoint work inline on that storage instead of
+    calling into the objects that own it:
+
+    * dense tested -- the :class:`~repro.machine.memory.DensePrivateView`
+      values (numpy, so loads keep returning numpy scalars), its ``have``
+      and ``written`` flags and the four
+      :class:`~repro.shadow.dense.DenseShadow` word planes, the latter
+      through memoryviews over the same storage (shm arenas,
+      analysis and commit see the same bytes);
+    * sparse tested -- the view's dict and set and the shadow's four sets;
+    * untested -- the shared data array and, under a
+      :class:`~repro.machine.checkpoint.CheckpointManager` with an open
+      stage, its per-array ``writers`` and ``saved`` dicts
+      (:meth:`~repro.machine.checkpoint.CheckpointManager.store_lane`);
+      a checkpoint subclass (the pool backends' charge-free capture
+      checkpoint) keeps its own ``note_write``;
+    * generic -- custom views or shadows and reduction arrays call the
+      owning objects' methods.
+
+    Every lane performs the operations and charges the methods would, in
+    the same order, and raises the same exception types (an index outside
+    a tested array raises ``IndexError`` before anything is marked).
+    :meth:`release_lanes` releases the memoryviews when the block ends.
 
     Virtual time is folded, not charged per access: each category's charges
     add into a block-local sum seeded, on the category's first charge, from
@@ -160,13 +207,13 @@ class SpeculativeContext(IterationContext):
     __slots__ = (
         "_machine",
         "_proc",
+        "_pbit",
         "_views",
         "_shadows",
         "_partials",
         "_reductions",
-        "_data",
+        "_lanes",
         "_ckpt",
-        "_ckpt_names",
         "_inductions",
         "_iter_marks",
         "_iter_time",
@@ -198,19 +245,14 @@ class SpeculativeContext(IterationContext):
         untested_log=None,
     ) -> None:
         super().__init__()
-        # Everything the access paths touch is bound once per block.
         self._machine = machine
         self._proc = state.proc
+        self._pbit = 1 << state.proc
         self._views = state.views
         self._shadows = state.shadows
         self._partials = state.partials
         self._reductions = loop.reductions
-        memory = machine.memory
-        self._data = {name: memory[name].data for name in memory.names()}
         self._ckpt = checkpoints
-        self._ckpt_names = (
-            frozenset() if checkpoints is None else checkpoints.name_set
-        )
         self._inductions = dict(inductions or {})
         # Optional per-iteration mark sink (DDG extraction); maps array name
         # to the current iteration's IterationMarks.
@@ -237,25 +279,67 @@ class SpeculativeContext(IterationContext):
         self._m_marks = 0
         self._m_copyin: dict[str, int] = {}
         self._m_ckpt: dict[str, int] = {}
+        self._lanes: dict[str, tuple] = {}
+        for name in machine.memory.names():  # hot-path: per array
+            self._lanes[name] = self._build_lane(name)
         self.exit_iteration: int | None = None
         self.fault: str | None = None
         """Fault class that aborted this block (``None`` = ran clean)."""
         self.fault_permanent = False
         """A fail-stop fault removed the processor for good."""
 
-    # -- wiring used by the drivers --------------------------------------------
+    # -- access lanes -----------------------------------------------------------
 
-    def set_iteration_marks(self, marks: dict[str, IterationMarks] | None) -> None:
-        self._iter_marks = marks
+    def _build_lane(self, name: str) -> tuple:
+        """The lane of array ``name`` (raises the memory image's named
+        ``KeyError`` for an undeclared array)."""
+        data = self._machine.memory[name].data
+        if name in self._reductions:
+            return (_GENERIC, None, None)
+        view = self._views.get(name)
+        if view is not None:
+            shadow = self._shadows[name]
+            n = len(data)
+            if type(view) is DensePrivateView and type(shadow) is DenseShadow:
+                return (
+                    _DENSE, n, data, view._values,
+                    memoryview(view._have), memoryview(view._written),
+                    memoryview(shadow.write_bits.words),
+                    memoryview(shadow.exposed_bits.words),
+                    memoryview(shadow.any_read_bits.words),
+                )
+            if type(view) is SparsePrivateView and type(shadow) is SparseShadow:
+                return (
+                    _SPARSE, n, data, view._values, view._written,
+                    shadow._write, shadow._exposed, shadow._any_read,
+                )
+            return (_GENERIC, view, shadow)
+        ckpt = self._ckpt
+        if ckpt is None or name not in ckpt.name_set:
+            return (_UNTESTED, data, None, None, None, None)
+        parts = ckpt.store_lane(name) if type(ckpt) is CheckpointManager else None
+        if parts is None:
+            # The manager's own note_write: a subclass's policy, or the
+            # error of a checkpoint stage that was never opened.
+            return (_UNTESTED, data, ckpt, None, None, None)
+        return (_UNTESTED, data, ckpt, *parts)
 
-    def begin_iteration(self, iteration: int) -> None:
-        self.iteration = iteration
-        self._iter_time = 0.0
-        self._iter_work = 0.0
+    def _lane(self, name: str) -> tuple:
+        """Build a lane missing from the table: an array nobody declared
+        (raises), or any access after :meth:`release_lanes`."""
+        lane = self._lanes[name] = self._build_lane(name)
+        return lane
 
-    def end_iteration(self) -> tuple[float, float]:
-        """Return ``(measured time, work-only time)`` for this iteration."""
-        return self._iter_time, self._iter_work
+    def release_lanes(self) -> None:
+        """Release the lanes' memoryviews, so buffers they export (shm
+        segments) can close; a later access rebuilds its lane."""
+        for lane in self._lanes.values():  # hot-path: per array
+            if lane[0] == _DENSE:
+                for buffer in lane[4:]:  # hot-path: its five memoryviews
+                    buffer.release()
+        self._lanes = {}
+
+    # -- results read by the drivers ---------------------------------------------
 
     def induction_values(self) -> dict[str, int]:
         return dict(self._inductions)
@@ -265,13 +349,13 @@ class SpeculativeContext(IterationContext):
     def _charge(self, slot: int, charged: float) -> None:
         """Fold one charge (already stretched by the slowdown) into the
         block's sum for ``slot``.  Zero charges are skipped, as
-        ``Machine.charge`` skips them: they must not create a row key."""
+        ``Machine.charge`` skips them: they must not create a row key.
+        ``load``, ``store``, ``work`` and ``execute_block`` inline these
+        lines; ``update`` and the bulk accesses call it."""
         if charged:
             sums = self._sums
             total = sums[slot]
-            if total is None:
-                total = self._seed(slot)
-            sums[slot] = total + charged
+            sums[slot] = (self._seed(slot) if total is None else total) + charged
             self._iter_time += charged
 
     def _seed(self, slot: int) -> float:
@@ -282,10 +366,6 @@ class SpeculativeContext(IterationContext):
             seeds = self._seeds = self._machine.charge_row(self._proc) or {}
         self._order.append(slot)
         return seeds.get(_SLOT_CATEGORY[slot], 0.0)
-
-    def _charge_work(self, amount: float) -> None:
-        self._iter_work += amount
-        self._charge(_WORK, amount * self._slowdown)
 
     def flush_charges(self) -> None:
         """Write the block's per-category sums back to the stage row, in
@@ -308,54 +388,131 @@ class SpeculativeContext(IterationContext):
             f"array {name!r} is declared a reduction; use update() only"
         )
 
-    def _shared(self, name: str):
-        """The shared data array ``name`` (untested and plain accesses)."""
-        try:
-            return self._data[name]
-        except KeyError:
-            return self._machine.memory[name].data  # raises the named error
-
     def load(self, name: str, index: int):
-        if name in self._reductions:
-            self._reject_reduction(name)
-        view = self._views.get(name)
-        if view is None:
+        try:
+            lane = self._lanes[name]
+        except KeyError:
+            lane = self._lane(name)
+        kind = lane[0]
+        if kind == _UNTESTED:
             # Untested array: direct shared read, no instrumentation.
             if self._untested_log is not None:
                 self._untested_log.note_read(self._proc, name, index)
-            return self._shared(name)[index]
-        value, copied_in = view.load(index)
-        self._shadows[name].mark_read(index)
+            return lane[1][index]
+        if kind == _DENSE:
+            _, n, data, values, have, _, write, exposed, any_read = lane
+            if not 0 <= index < n:
+                raise _out_of_range(name, index, n)
+            if have[index]:
+                value = values[index]
+                copied_in = False
+            else:
+                value = values[index] = data[index]
+                have[index] = True
+                copied_in = True
+            word = index >> 6
+            bit = _BITS[index & 63]
+            any_read[word] |= bit
+            if not write[word] & bit:
+                exposed[word] |= bit
+        elif kind == _SPARSE:
+            _, n, data, values, _, write, exposed, any_read = lane
+            if not 0 <= index < n:
+                raise _out_of_range(name, index, n)
+            value = values.get(index, _ABSENT)
+            copied_in = value is _ABSENT
+            if copied_in:
+                value = values[index] = data[index]
+            any_read.add(index)
+            if index not in write:
+                exposed.add(index)
+        else:
+            if name in self._reductions:
+                self._reject_reduction(name)
+            value, copied_in = lane[1].load(index)
+            lane[2].mark_read(index)
         self._m_marks += 1
-        self._charge(_MARK, self._mark)
+        charged = self._mark
+        if charged:
+            sums = self._sums
+            total = sums[_MARK]
+            sums[_MARK] = (self._seed(_MARK) if total is None else total) + charged
+            self._iter_time += charged
         if copied_in:
             self._m_copyin[name] = self._m_copyin.get(name, 0) + 1
-            self._charge(_COPY_IN, self._copy_in)
+            charged = self._copy_in
+            if charged:
+                sums = self._sums
+                total = sums[_COPY_IN]
+                sums[_COPY_IN] = (
+                    self._seed(_COPY_IN) if total is None else total
+                ) + charged
+                self._iter_time += charged
         if self._iter_marks is not None:
             self._iter_marks[name].mark_read(index)
         return value
 
     def store(self, name: str, index: int, value) -> None:
-        if name in self._reductions:
-            self._reject_reduction(name)
-        view = self._views.get(name)
-        if view is None:
+        try:
+            lane = self._lanes[name]
+        except KeyError:
+            lane = self._lane(name)
+        kind = lane[0]
+        if kind == _UNTESTED:
+            _, data, ckpt, writers, saved, source = lane
             if self._untested_log is not None:
                 self._untested_log.note_write(self._proc, name, index)
-            if name in self._ckpt_names:
-                saved = self._ckpt.note_write(self._proc, name, index)
-                if saved:
-                    self._m_ckpt[name] = self._m_ckpt.get(name, 0) + saved
-                    self._charge(
-                        _CHECKPOINT,
-                        self._costs.checkpoint_per_elem * saved * self._slowdown,
-                    )
-            self._shared(name)[index] = value
+            if ckpt is not None:
+                if writers is None:
+                    fresh = ckpt.note_write(self._proc, name, index)
+                else:
+                    # CheckpointManager.note_write, on its bound dicts.
+                    writers[index] = writers.get(index, 0) | self._pbit
+                    fresh = 0
+                    if index not in saved:
+                        saved[index] = source[index]
+                        if ckpt.on_demand:
+                            ckpt.elements_checkpointed += 1
+                            fresh = 1
+                if fresh:
+                    self._m_ckpt[name] = self._m_ckpt.get(name, 0) + fresh
+                    charged = self._costs.checkpoint_per_elem * fresh * self._slowdown
+                    if charged:
+                        sums = self._sums
+                        total = sums[_CHECKPOINT]
+                        sums[_CHECKPOINT] = (
+                            self._seed(_CHECKPOINT) if total is None else total
+                        ) + charged
+                        self._iter_time += charged
+            data[index] = value
             return
-        view.store(index, value)
-        self._shadows[name].mark_write(index)
+        if kind == _DENSE:
+            _, n, _, values, have, written, write, _, _ = lane
+            if not 0 <= index < n:
+                raise _out_of_range(name, index, n)
+            values[index] = value
+            have[index] = True
+            written[index] = True
+            write[index >> 6] |= _BITS[index & 63]
+        elif kind == _SPARSE:
+            _, n, _, values, written, write, _, _ = lane
+            if not 0 <= index < n:
+                raise _out_of_range(name, index, n)
+            values[index] = value
+            written.add(index)
+            write.add(index)
+        else:
+            if name in self._reductions:
+                self._reject_reduction(name)
+            lane[1].store(index, value)
+            lane[2].mark_write(index)
         self._m_marks += 1
-        self._charge(_MARK, self._mark)
+        charged = self._mark
+        if charged:
+            sums = self._sums
+            total = sums[_MARK]
+            sums[_MARK] = (self._seed(_MARK) if total is None else total) + charged
+            self._iter_time += charged
         if self._iter_marks is not None:
             self._iter_marks[name].mark_write(index, value)
 
@@ -450,7 +607,14 @@ class SpeculativeContext(IterationContext):
     def work(self, units: float) -> None:
         if units < 0:
             raise ValueError("work units must be non-negative")
-        self._charge_work(units * self._costs.omega)
+        amount = units * self._costs.omega
+        self._iter_work += amount
+        charged = amount * self._slowdown
+        if charged:
+            sums = self._sums
+            total = sums[_WORK]
+            sums[_WORK] = (self._seed(_WORK) if total is None else total) + charged
+            self._iter_time += charged
 
     # -- premature exit -----------------------------------------------------------
 
@@ -542,34 +706,47 @@ def execute_block(
     body = loop.body
     iter_times = state.iter_times
     iter_work = state.iter_work
+    sums = ctx._sums
     completed = 0
-    # hot-path: the iteration loop itself; each iteration runs the body.
-    for i in block.iterations():
-        if cancel is not None and cancel.is_set():
-            raise BlockCancelled(block.proc, i)
-        if death is not None and completed >= death[0]:
-            # Fail-stop: the processor dies here; everything it did this
-            # stage (private state, untested writes) is garbage to roll
-            # back, and any exit it signalled cannot be trusted.
-            ctx.fault = "fail-stop"
-            ctx.fault_permanent = death[1]
-            break
-        ctx.begin_iteration(i)
-        if marklists is not None:
-            ctx.set_iteration_marks(
-                {name: ml.open_level(i) for name, ml in marklists.items()}
-            )
-        ctx._charge_work(omega if work_of is None else work_of(i) * omega)
-        body(ctx, i)
-        iter_times[i], iter_work[i] = ctx.end_iteration()
-        completed += 1
-        if ctx.exit_iteration is not None:
-            # The iteration that signalled the exit completes; the rest of
-            # the block never executes (speculatively validated later).
-            break
-    # A block that raised (cancelled, or a body error) never gets here:
-    # like a killed worker's, its charges are not written.
-    ctx.flush_charges()
+    try:
+        # hot-path: the iteration loop itself; each iteration runs the body.
+        for i in block.iterations():
+            if cancel is not None and cancel.is_set():
+                raise BlockCancelled(block.proc, i)
+            if death is not None and completed >= death[0]:
+                # Fail-stop: the processor dies here; everything it did this
+                # stage (private state, untested writes) is garbage to roll
+                # back, and any exit it signalled cannot be trusted.
+                ctx.fault = "fail-stop"
+                ctx.fault_permanent = death[1]
+                break
+            ctx.iteration = i
+            if marklists is not None:
+                ctx._iter_marks = {
+                    name: ml.open_level(i) for name, ml in marklists.items()
+                }
+            # The base WORK charge, folded inline; both per-iteration sums
+            # start from 0.0, as the body's own charges continue them.
+            amount = omega if work_of is None else work_of(i) * omega
+            ctx._iter_work = 0.0 + amount
+            charged = amount * slowdown
+            if charged:
+                total = sums[_WORK]
+                sums[_WORK] = (ctx._seed(_WORK) if total is None else total) + charged
+            ctx._iter_time = 0.0 + charged
+            body(ctx, i)
+            iter_times[i] = ctx._iter_time
+            iter_work[i] = ctx._iter_work
+            completed += 1
+            if ctx.exit_iteration is not None:
+                # The iteration that signalled the exit completes; the rest
+                # of the block never executes (speculatively validated later).
+                break
+        # A block that raised (cancelled, or a body error) never gets here:
+        # like a killed worker's, its charges are not written.
+        ctx.flush_charges()
+    finally:
+        ctx.release_lanes()
     state.executed.append(block)
     metrics = getattr(machine, "metrics", None)
     if metrics is not None and metrics.enabled:

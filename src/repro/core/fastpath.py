@@ -39,7 +39,7 @@ from __future__ import annotations
 from repro.config import RuntimeConfig
 from repro.core.engine import StageEngine, Strategy
 from repro.core.executor import make_plain_state
-from repro.core.stage import committed_work
+from repro.core.stage import committed_work, record_iter_times
 from repro.errors import ConfigurationError, SpeculationError
 from repro.loopir.loop import SpeculativeLoop
 from repro.util.blocks import Block, partition_even, partition_weighted
@@ -107,10 +107,7 @@ class _CertifiedBase(Strategy):
         # memory.  Account the committed work and iteration times exactly
         # like the speculative commit does.
         stage_work = committed_work(eng.states, committing)
-        for block in committing:
-            times = eng.states[block.proc].iter_times
-            for i in block.iterations():
-                eng.final_iter_times[i] = times[i]
+        record_iter_times(eng.final_iter_times, eng.states, committing)
         return 0, stage_work
 
     def result_extras(self, eng: StageEngine) -> dict:
@@ -123,8 +120,7 @@ class CertifiedDoall(_CertifiedBase):
     One stage, one block per alive processor, no speculation machinery.
     ``exit_mode="reject"``: the certifier routes loops with observed
     premature exits to SPECULATE, so an exit here means the certificate
-    was wrong (possible only for affine-model certificates under
-    ``--certify=trust``) -- fail loudly rather than mis-commit.
+    was wrong -- fail loudly rather than mis-commit.
     """
 
     name = "certified-doall"

@@ -42,7 +42,7 @@ def parallelize(
     always equals a sequential execution of the loop -- the runtime's
     fundamental guarantee.
 
-    With ``config.certify`` at its default ``"hint"`` (or ``"trust"``),
+    With ``config.certify`` at its default ``"hint"``,
     the certification front-end (:mod:`repro.model.certify`) examines the
     loop first: a certified-DOALL loop runs on the zero-speculation fast
     path, a certified-SEQUENTIAL loop runs in order on one processor, and
@@ -61,7 +61,7 @@ def parallelize(
         and config.os_chaos is None
     ):
         certificate = certify_loop(loop, memory=memory)
-        strategy = fastpath_strategy(certificate, config)
+        strategy = fastpath_strategy(certificate)
     strategy = strategy or strategy_for_config(loop, config)
     return StageEngine(
         loop, n_procs, strategy, config, costs=costs, weights=weights,

@@ -196,5 +196,15 @@ def committed_work(states: dict[int, ProcessorState], blocks) -> float:
     total = 0.0
     for block in blocks:
         work = states[block.proc].iter_work
-        total += sum(work[i] for i in block.iterations())
+        total += sum(map(work.__getitem__, block.iterations()))
     return total
+
+
+def record_iter_times(
+    final: dict[int, float], states: dict[int, ProcessorState], blocks
+) -> None:
+    """Copy the committing blocks' measured iteration times into ``final``."""
+    for block in blocks:
+        times = states[block.proc].iter_times
+        its = block.iterations()
+        final.update(zip(its, map(times.__getitem__, its)))

@@ -19,7 +19,7 @@ Two levels of evidence come out of a probe:
   ``index = stride * i + offset`` exactly.  The affine model then predicts
   all ``n`` iterations; the prediction is sound *if* the loop really is
   affine (a data-dependent subscript can masquerade as affine on a
-  sample), which is why only ``--certify=trust`` acts on it.
+  sample), which is why the runtime never acts on it.
 
 The probe records its accesses as flat columns (:class:`AccessTrace`),
 not as one object per access.  The dependence tests themselves

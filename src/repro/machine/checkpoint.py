@@ -65,7 +65,7 @@ class CheckpointManager:
         self.elements_checkpointed = 0
         self._stage_active = True
         if not self.on_demand:
-            for name in self._names:
+            for name in self._names:  # hot-path: per array, bulk copies
                 data = self._memory[name].data
                 self._full[name] = data.copy()
                 self.elements_checkpointed += len(data)
@@ -97,6 +97,16 @@ class CheckpointManager:
             saved[index] = self._full[name][index]
         return 0
 
+    def store_lane(self, name: str) -> tuple[dict, dict, np.ndarray] | None:
+        """What :meth:`note_write` touches for ``name``, for a caller that
+        inlines it (the speculative store lane): ``(writers, saved,
+        source of old values)``, or ``None`` before :meth:`begin_stage`.
+        The dicts are this stage's own, so inlined and method writes mix."""
+        if not self._stage_active:
+            return None
+        source = self._memory[name].data if self.on_demand else self._full[name]
+        return self._writers[name], self._saved[name], source
+
     def note_write_many(self, proc: int, name: str, indices: np.ndarray) -> int:
         """Batch :meth:`note_write` over an index array (duplicates allowed).
 
@@ -118,6 +128,8 @@ class CheckpointManager:
         new: list[int] = []
         seen_new: set[int] = set()
         bit = 1 << proc
+        # hot-path: the writer masks and saved values are per-element dict
+        # entries; the old values themselves come from one kernel gather.
         for index in ids:
             writers_map[index] = writers_map.get(index, 0) | bit
             if index not in saved and index not in seen_new:
@@ -126,7 +138,7 @@ class CheckpointManager:
         if new:
             source = self._memory[name].data if self.on_demand else self._full[name]
             old = get_kernels().gather(source, np.fromiter(new, np.int64, len(new)))
-            for k, index in enumerate(new):
+            for k, index in enumerate(new):  # hot-path: see above
                 saved[index] = old[k]
             if self.on_demand:
                 self.elements_checkpointed += len(new)
@@ -142,11 +154,13 @@ class CheckpointManager:
         failed = _mask(failed_procs)
         restored = 0
         self.last_restored_bytes = 0
-        for name in self._names:
+        for name in self._names:  # hot-path: per array
             data = self._memory[name].data
             writers_map = self._writers[name]
             saved = self._saved[name]
             dirty: list[int] = []
+            # hot-path: one pass over the stage's written elements (mask
+            # tests); the restore itself is one kernel scatter.
             for index, writers in writers_map.items():
                 touched_failed = writers & failed
                 if not touched_failed:
@@ -170,6 +184,7 @@ class CheckpointManager:
                 self.last_restored_bytes += len(dirty) * data.dtype.itemsize
             # Failed procs will re-write; drop their logs so the next stage
             # re-checkpoints from the (restored) current values.
+            # hot-path: dict deletions, one per restored element.
             for index in dirty:
                 del writers_map[index]
                 del saved[index]
@@ -188,7 +203,7 @@ class CheckpointManager:
 
 def _mask(procs: Iterable[int]) -> int:
     mask = 0
-    for proc in procs:
+    for proc in procs:  # hot-path: per processor
         mask |= 1 << proc
     return mask
 
@@ -209,9 +224,10 @@ def verify_untested_isolation(
     unsound and should mark it tested instead).
     """
     problems: list[str] = []
+    # hot-path: self-check diagnostics only (off by default).
     for name, write_map in writes.items():
         read_map = reads.get(name, {})
-        for index, writer_procs in write_map.items():
+        for index, writer_procs in write_map.items():  # hot-path: as above
             reader_procs = read_map.get(index, set())
             foreign = {r for r in reader_procs if any(w != r for w in writer_procs)}
             if foreign and len(writer_procs | reader_procs) > 1:

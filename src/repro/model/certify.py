@@ -21,8 +21,9 @@ analyzes its access pattern (via the symbolic probe layer in
 Evidence quality is tracked by ``LoopCertificate.exact``: a full
 sequential probe (every iteration executed with reference semantics)
 yields exact certificates acted on under ``--certify=hint``; a sampled
-probe of a large loop yields affine-model certificates acted on only
-under ``--certify=trust``.
+probe of a large loop yields affine-model certificates, which are only
+reported: a data-dependent subscript can fit the affine model on the
+sample and still carry a dependence between unsampled iterations.
 """
 
 from __future__ import annotations
@@ -285,16 +286,14 @@ def certify_loop(
     )
 
 
-def fastpath_strategy(certificate: LoopCertificate | None, config):
+def fastpath_strategy(certificate: LoopCertificate | None):
     """Resolve a certificate to a fast-path strategy object, or ``None``.
 
     ``None`` means "no fast path": the caller falls through to the normal
-    registry resolution.  Non-exact (affine-model) certificates are acted
-    on only under ``certify="trust"``.
+    registry resolution.  Non-exact (affine-model) certificates are never
+    acted on.
     """
-    if certificate is None:
-        return None
-    if not certificate.exact and config.certify != "trust":
+    if certificate is None or not certificate.exact:
         return None
     from repro.core.fastpath import CertifiedDoall, CertifiedSequential
 

@@ -561,7 +561,7 @@ class TestContextBulkOps:
         machine = Machine(1, memory=loop.materialize())
         state = make_processor_state(machine, loop, 0)
         ctx = SpeculativeContext(machine, loop, state, None)
-        ctx.begin_iteration(0)
+        ctx.iteration = 0
         indices = np.array([0, 1], dtype=np.int64)
         with pytest.raises(ValueError, match="reduction"):
             ctx.load_many("H", indices)

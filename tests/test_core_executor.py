@@ -5,9 +5,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from repro.core import executor
 from repro.core.executor import (
-    _SLOT_CATEGORY,
     BlockCancelled,
     SpeculativeContext,
     execute_block,
@@ -20,6 +18,7 @@ from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.machine.timeline import Category
 from repro.util.blocks import Block
+from tests.exec_reference import PerAccessContext, reference_execute_block
 
 
 def make_loop(body, n=8, tested=("A",), untested=(), reductions=None):
@@ -189,17 +188,6 @@ class TestProcessorState:
 # -- the per-block charge fold --------------------------------------------------
 
 
-class PerAccessContext(SpeculativeContext):
-    """Reference charger: every charge goes straight to ``Machine.charge``
-    as it happens, the way the context charged before the per-block fold."""
-
-    __slots__ = ()
-
-    def _charge(self, slot, charged):
-        self._machine.charge(self._proc, _SLOT_CATEGORY[slot], charged)
-        self._iter_time += charged
-
-
 def rows(machine):
     """Every stage's ``per_proc`` table, values and key order included."""
     return [
@@ -236,12 +224,11 @@ FOLD_COSTS = CostModel(
 )
 
 
-def run_blocks(context_cls, monkeypatch, blocks, *, preload=False, loop=None,
-               costs=FOLD_COSTS, **block_kwargs):
-    """Run ``blocks`` (each ``(proc, start, stop)``) in one stage with
-    ``context_cls`` charging; returns the machine, the last context and
-    the processor states."""
-    monkeypatch.setattr(executor, "SpeculativeContext", context_cls)
+def run_blocks(execute, blocks, *, preload=False, loop=None, costs=FOLD_COSTS,
+               **block_kwargs):
+    """Run ``blocks`` (each ``(proc, start, stop)``) in one stage through
+    ``execute`` (``execute_block`` or the per-access reference); returns
+    the machine, the last context and the processor states."""
     loop = loop or fold_loop()
     machine = Machine(2, costs=costs, memory=loop.materialize())
     machine.begin_stage()
@@ -254,7 +241,7 @@ def run_blocks(context_cls, monkeypatch, blocks, *, preload=False, loop=None,
         states[0].preload(machine)
     ctx = None
     for proc, start, stop in blocks:
-        ctx = execute_block(
+        ctx = execute(
             machine, loop, states[proc], Block(proc, start, stop), ckpt,
             **block_kwargs,
         )
@@ -264,24 +251,24 @@ def run_blocks(context_cls, monkeypatch, blocks, *, preload=False, loop=None,
 class TestChargeFold:
     """The fold must leave ``per_proc`` exactly as per-access charging did."""
 
-    def both(self, monkeypatch, blocks, **kwargs):
-        ref, _, ref_states = run_blocks(PerAccessContext, monkeypatch, blocks, **kwargs)
-        got, ctx, states = run_blocks(SpeculativeContext, monkeypatch, blocks, **kwargs)
+    def both(self, blocks, **kwargs):
+        ref, _, ref_states = run_blocks(reference_execute_block, blocks, **kwargs)
+        got, ctx, states = run_blocks(execute_block, blocks, **kwargs)
         assert rows(got) == rows(ref)
         for proc in states:
             assert states[proc].iter_times == ref_states[proc].iter_times
             assert states[proc].iter_work == ref_states[proc].iter_work
         return got, ctx
 
-    def test_one_block(self, monkeypatch):
-        got, _ = self.both(monkeypatch, [(0, 0, 8)])
+    def test_one_block(self):
+        got, _ = self.both([(0, 0, 8)])
         row = got.timeline.current.per_proc[0]
         assert list(row) == [
             Category.REDISTRIBUTION, Category.WORK, Category.MARK,
             Category.COPY_IN, Category.CHECKPOINT,
         ]
 
-    def test_first_appearance_key_order_and_zero_charges(self, monkeypatch):
+    def test_first_appearance_key_order_and_zero_charges(self):
         def body(ctx, i):
             ctx.store("B", i, 1.0)
             ctx.load("S", i)
@@ -289,18 +276,18 @@ class TestChargeFold:
 
         loop = fold_loop(body, iter_work=lambda i: 0.0)
         costs = CostModel(mark=0.0, copy_in=0.1, checkpoint_per_elem=0.03)
-        got, _ = self.both(monkeypatch, [(1, 0, 8)], loop=loop, costs=costs)
+        got, _ = self.both([(1, 0, 8)], loop=loop, costs=costs)
         # Zero base work and zero-cost marks create no key; the rest land
         # in the order the block first charged them.
         assert list(got.timeline.current.per_proc[1]) == [
             Category.CHECKPOINT, Category.COPY_IN, Category.WORK,
         ]
 
-    def test_two_blocks_on_one_processor_in_one_stage(self, monkeypatch):
-        self.both(monkeypatch, [(0, 0, 5), (1, 5, 9), (0, 9, 16)])
+    def test_two_blocks_on_one_processor_in_one_stage(self):
+        self.both([(0, 0, 5), (1, 5, 9), (0, 9, 16)])
 
-    def test_preload_then_copy_in(self, monkeypatch):
-        got, _ = self.both(monkeypatch, [(0, 0, 16)], preload=True)
+    def test_preload_then_copy_in(self):
+        got, _ = self.both([(0, 0, 16)], preload=True)
         row = got.timeline.current.per_proc[0]
         costs = FOLD_COSTS
         preloaded = costs.bulk_copy_per_elem * 16  # only dense A preloads
@@ -317,11 +304,11 @@ class TestChargeFold:
             block_sum += costs.copy_in
         assert preloaded + block_sum != seeded
 
-    def test_straggler_slowdown(self, monkeypatch):
-        self.both(monkeypatch, [(0, 0, 8), (1, 8, 16)], slowdown=1.37)
+    def test_straggler_slowdown(self):
+        self.both([(0, 0, 8), (1, 8, 16)], slowdown=1.37)
 
-    def test_fail_stop_mid_block_keeps_completed_charges(self, monkeypatch):
-        got, ctx = self.both(monkeypatch, [(1, 0, 8)], death=(3, False))
+    def test_fail_stop_mid_block_keeps_completed_charges(self):
+        got, ctx = self.both([(1, 0, 8)], death=(3, False))
         assert ctx.fault == "fail-stop"
         row = got.timeline.current.per_proc[1]
         assert row[Category.WORK] == pytest.approx(3 * 1.37 * FOLD_COSTS.omega)
@@ -350,7 +337,7 @@ class TestChargeFold:
         assert len(state.iter_times) == 4  # four iterations did run
         assert dict(machine.timeline.current.per_proc) == {}
 
-    def test_context_built_before_begin_stage(self, monkeypatch):
+    def test_context_built_before_begin_stage(self):
         def drive(context_cls):
             loop = fold_loop()
             machine = Machine(2, costs=FOLD_COSTS, memory=loop.materialize())
@@ -361,9 +348,8 @@ class TestChargeFold:
             ckpt.begin_stage()
             ctx = contexts[0]
             for i in range(4):
-                ctx.begin_iteration(i)
+                ctx.iteration = i
                 loop.body(ctx, i)
-                ctx.end_iteration()
             for idle in contexts.values():
                 idle.flush_charges()
             return machine
@@ -388,21 +374,20 @@ class CountingRow(dict):
 
 
 class TestFoldIsPerBlock:
-    def count_row_writes(self, context_cls, monkeypatch):
+    def count_row_writes(self, execute):
         from repro.workloads.synthetic import fully_parallel_loop
 
-        monkeypatch.setattr(executor, "SpeculativeContext", context_cls)
         loop = fully_parallel_loop(1024)
         machine = Machine(1, memory=loop.materialize())
         record = machine.begin_stage()
         record.per_proc = defaultdict(CountingRow)
         state = make_processor_state(machine, loop, 0)
         CountingRow.writes = 0
-        execute_block(machine, loop, state, Block(0, 0, 1024), None)
+        execute(machine, loop, state, Block(0, 0, 1024), None)
         return CountingRow.writes
 
-    def test_serial_doall_block_writes_once_per_category(self, monkeypatch):
+    def test_serial_doall_block_writes_once_per_category(self):
         # WORK, MARK and COPY_IN: one write each for 4096 charges.
-        assert self.count_row_writes(SpeculativeContext, monkeypatch) == 3
+        assert self.count_row_writes(execute_block) == 3
         # The per-access reference writes once per charge.
-        assert self.count_row_writes(PerAccessContext, monkeypatch) == 4 * 1024
+        assert self.count_row_writes(reference_execute_block) == 4 * 1024

@@ -221,13 +221,10 @@ class TestVerdicts:
         )
         assert "probe aborted" in cert.reason
 
-    def test_fastpath_requires_exactness_unless_trusted(self):
+    def test_fastpath_requires_exactness(self):
         cert = certify_loop(strided_doall_loop(10_000))
-        assert fastpath_strategy(cert, RuntimeConfig.adaptive()) is None
-        trusted = fastpath_strategy(
-            cert, RuntimeConfig.adaptive(certify="trust")
-        )
-        assert trusted is not None and trusted.name == "certified-doall"
+        assert (cert.verdict, cert.exact) == (DOALL, False)
+        assert fastpath_strategy(cert) is None
 
 
 # -- soundness: differential oracle over the corpus --------------------------------
@@ -434,15 +431,35 @@ class TestCertifyModes:
         assert res.strategy == "RD-adaptive"
         assert res.certificate is None
 
-    def test_trust_acts_on_model_evidence(self):
-        loop = strided_doall_loop(6000)
-        hint = parallelize(loop, P)
-        assert hint.strategy != "certified-doall"  # affine evidence only
-        trust = parallelize(
-            strided_doall_loop(6000), P, RuntimeConfig.adaptive(certify="trust")
+    def test_trust_mode_is_gone(self):
+        with pytest.raises(ConfigurationError, match="known: off, hint"):
+            RuntimeConfig.adaptive(certify="trust")
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "shm"])
+    def test_late_arc_beyond_the_sample_runs_speculatively(self, backend):
+        """The sampled probe certifies this loop DOALL on affine evidence;
+        acting on it dropped the one cross-iteration arc on pool backends
+        (``A[19000] = 1`` against the sequential ``100``)."""
+
+        def late_arc_loop():
+            n = 20_000
+
+            def body(ctx, i):
+                if i == 12_345:
+                    ctx.store("B", 19_000, 99.0)
+                ctx.store("A", i, ctx.load("B", i) + 1.0)
+
+            arrays = [ArraySpec("A", np.zeros(n)), ArraySpec("B", np.zeros(n))]
+            return SpeculativeLoop("late-arc", n, body, arrays=arrays)
+
+        cert = certify_loop(late_arc_loop())
+        assert (cert.verdict, cert.exact) == (DOALL, False)
+        res = parallelize(
+            late_arc_loop(), 4, RuntimeConfig.adaptive(backend=backend, backend_workers=2)
         )
-        assert trust.strategy == "certified-doall"
-        assert_matches_sequential(trust, strided_doall_loop(6000))
+        assert res.strategy != "certified-doall"
+        assert res.memory["A"].data[19_000] == 100.0
+        assert_matches_sequential(res, late_arc_loop())
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):

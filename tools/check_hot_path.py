@@ -35,6 +35,7 @@ HOT_PATHS = (
     "machine/memory.py",
     "core/analysis.py",
     "core/executor.py",
+    "machine/checkpoint.py",
     "loopir/symbolic.py",
     "util/bitset.py",
 )
