@@ -160,6 +160,13 @@ def _history_entry(result) -> dict:
             entry["name"]: entry["speedup"]
             for entry in result.data["workloads"]
         },
+        # Best-of certify_loop seconds: the certifier's layer over time.
+        "certify_s": {
+            "doall-dense": result.data["certified_fastpath"]["certify_s"],
+            "spice15-sparse": result.data["certified_fastpath"][
+                "spice_certify_s"
+            ],
+        },
     }
 
 

@@ -253,7 +253,10 @@ def _certified_fastpath_microbench(n: int, n_procs: int, repeats: int) -> dict:
     (``certify_s``): it stands in for static compile-time analysis, is
     independent of processor count, and amortizes over repeated runs of
     the same loop, so it is reported but not folded into the speedup the
-    gate enforces.  Both runs must agree on final memory bit-for-bit.
+    gate enforces.  ``spice_certify_s`` times the certifier on the SPICE
+    perfect-up loop with its memory image passed in, as ``parallelize``
+    does: the exact probe that stops after a settled prefix.  Both runs
+    must agree on final memory bit-for-bit.
     """
     from repro.core.fastpath import CertifiedDoall
     from repro.model import certify_loop
@@ -272,12 +275,18 @@ def _certified_fastpath_microbench(n: int, n_procs: int, repeats: int) -> dict:
     certify_s, _ = measure_host(
         lambda: certify_loop(fully_parallel_loop(n)), repeats + 1
     )
+    spice = make_dcdcmp15_loop("perfect-up")
+    spice_memory = spice.materialize()
+    spice_certify_s, _ = measure_host(
+        lambda: certify_loop(spice, memory=spice_memory), repeats + 1
+    )
     return {
         "n": n,
         "procs": n_procs,
         "fastpath_s": fast_s,
         "speculative_s": spec_s,
         "certify_s": certify_s,
+        "spice_certify_s": spice_certify_s,
         "speedup": spec_s / fast_s,
         "parity_ok": _summary(fast_r)["memory"] == _summary(spec_r)["memory"],
     }
@@ -350,7 +359,8 @@ def host_perf(quick: bool) -> ExperimentResult:
         f"speculative {fastpath['speculative_s'] * 1e3:7.1f} ms   "
         f"fastpath {fastpath['fastpath_s'] * 1e3:7.1f} ms "
         f"({fastpath['speedup']:4.2f}x)   "
-        f"certify {fastpath['certify_s'] * 1e3:6.1f} ms   "
+        f"certify {fastpath['certify_s'] * 1e3:6.1f} ms "
+        f"(spice {fastpath['spice_certify_s'] * 1e3:.1f} ms)   "
         f"parity {'ok' if fastpath['parity_ok'] else 'MISMATCH'}"
     )
     # Both overhead ratios gate CI at a 5% budget, far below run-to-run

@@ -21,6 +21,11 @@ Two levels of evidence come out of a probe:
   affine (a data-dependent subscript can masquerade as affine on a
   sample), which is why the runtime never acts on it.
 
+A full probe may stop after a prefix of its iterations: the caller
+passes a ``settled`` predicate, which :func:`probe_loop` applies once to
+the scan of the first ``max(PREFIX_CHECK, n // 8)`` iterations (the
+certifier stops once no later iteration can change its verdict).
+
 The probe records its accesses as flat columns (:class:`AccessTrace`),
 not as one object per access.  The dependence tests themselves
 (:func:`trace_dependences`, :func:`affine_dependences`) are exact over
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -72,6 +77,20 @@ class AccessTrace:
         flat = np.fromiter(rows, dtype=np.int64, count=len(rows))
         iteration, kind, array, index = flat.reshape(-1, 4).T.copy()
         return cls(iteration, kind, array, index, names)
+
+    @classmethod
+    def concat(cls, head: AccessTrace, tail: AccessTrace) -> AccessTrace:
+        """``head``'s rows followed by ``tail``'s (one ``names`` table)."""
+        return cls(
+            *(
+                np.concatenate((a, b))
+                for a, b in zip(
+                    (head.iteration, head.kind, head.array, head.index),
+                    (tail.iteration, tail.kind, tail.array, tail.index),
+                )
+            ),
+            head.names,
+        )
 
     @classmethod
     def from_records(cls, records: Iterable[AccessRecord]) -> AccessTrace:
@@ -127,7 +146,7 @@ class ProbeContext(IterationContext):
     certifier wants to *observe* what the body does, not police it), and
     collecting premature exits instead of acting on them.  Each access
     appends ``iteration, kind, array code, index`` to one flat list;
-    :meth:`trace` turns it into an :class:`AccessTrace`.
+    :meth:`take_trace` turns it into an :class:`AccessTrace`.
     """
 
     __slots__ = (
@@ -153,8 +172,11 @@ class ProbeContext(IterationContext):
         self.exit_at: int | None = None
         self.extra_work = 0.0
 
-    def trace(self) -> AccessTrace:
-        return AccessTrace.from_rows(self._rows, tuple(self._arrays))
+    def take_trace(self) -> AccessTrace:
+        """The rows recorded since the last call, as columns; recording
+        then starts a new chunk."""
+        rows, self._rows = self._rows, []
+        return AccessTrace.from_rows(rows, tuple(self._arrays))
 
     def load(self, name: str, index: int):
         code, data = self._arrays[name]
@@ -229,10 +251,14 @@ class ProbeResult:
     n: int
     iterations: list[int]
     full: bool
-    """Every iteration in ``[0, n)`` was executed with sequential
-    semantics (the trace is exact evidence)."""
+    """The iterations ran in order from 0 with sequential semantics (the
+    trace is exact evidence): all of ``[0, n)``, up to a premature exit,
+    or, when ``prefix`` is set, the prefix in ``iterations``."""
     trace: AccessTrace
     exit_at: int | None
+    prefix: DependenceSummary | None = None
+    """Set when the probe stopped after a prefix because ``settled`` held:
+    the dependence scan of ``trace``, which covers ``iterations`` only."""
 
     @cached_property
     def records(self) -> list[AccessRecord]:
@@ -257,11 +283,19 @@ class ProbeResult:
         return self._fit[1]
 
 
+#: Iterations a full probe runs before it may stop: ``max(PREFIX_CHECK,
+#: n // 8)``.  A prefix of this size decides loops whose flow chains are
+#: short, and costs a loop that runs to the end one scan of an eighth of
+#: its trace.
+PREFIX_CHECK = 256
+
+
 def probe_loop(
     loop: SpeculativeLoop,
     memory: MemoryImage | None = None,
     limit: int = 4096,
     sample: int = 48,
+    settled: Callable[[DependenceSummary, int, int], bool] | None = None,
 ) -> ProbeResult:
     """Execute a full or sampled probe of ``loop`` over scratch memory.
 
@@ -272,6 +306,13 @@ def probe_loop(
     spaced iterations run against the initial image (address observation
     only -- loaded values may differ from a true sequential execution, so
     the result is only usable through the affine model).
+
+    ``settled(deps, probed, n)`` lets a full probe stop early: after the
+    first ``max(PREFIX_CHECK, n // 8)`` iterations it scans their trace
+    once, and when the predicate holds on that scan the probe returns the
+    prefix (``ProbeResult.prefix`` holds the scan).  Otherwise the probe
+    runs to the end as without it.  An iteration past the prefix that
+    would raise is then never run.
     """
     n = loop.n_iterations
     if memory is None:
@@ -290,21 +331,41 @@ def probe_loop(
         scratch, reductions=loop.reductions,
         inductions=loop.initial_inductions(),
     )
-    body = loop.body
+    check = max(PREFIX_CHECK, n // 8)
+    if not full or settled is None or check >= n:
+        check = len(iterations)
+    _run_iterations(ctx, loop.body, iterations[:check], full)
+    trace = ctx.take_trace()
+    if check < len(iterations) and ctx.exit_at is None:
+        # hot-path: the one stop check, between the two runs of the
+        # iteration loop; one scan of the prefix columns.
+        deps = trace_dependences(trace, n)
+        if settled(deps, check, n):
+            return ProbeResult(
+                n=n, iterations=iterations[:check], full=True, trace=trace,
+                exit_at=None, prefix=deps,
+            )
+        _run_iterations(ctx, loop.body, iterations[check:], full)
+        trace = AccessTrace.concat(trace, ctx.take_trace())
+    return ProbeResult(
+        n=n,
+        iterations=iterations,
+        full=full,
+        trace=trace,
+        exit_at=ctx.exit_at,
+    )
+
+
+def _run_iterations(
+    ctx: ProbeContext, body, iterations: list[int], stop_on_exit: bool
+) -> None:
     # hot-path: one body call per probed iteration; the accesses it issues
     # append to flat columns.
     for i in iterations:
         ctx.iteration = i
         body(ctx, i)
-        if full and ctx.exit_at is not None:
+        if stop_on_exit and ctx.exit_at is not None:
             break
-    return ProbeResult(
-        n=n,
-        iterations=iterations,
-        full=full,
-        trace=ctx.trace(),
-        exit_at=ctx.exit_at,
-    )
 
 
 def _fit_sites(
@@ -374,6 +435,15 @@ class DependenceSummary:
     """Distinct iterations that are the sink of at least one dependence."""
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort: numpy 2.4's hash-based
+    ``np.unique`` of a few thousand int64 keys costs ~20x a sort of them."""
+    ordered = np.sort(values)
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def _flow_summary(
     srcs: np.ndarray, dsts: np.ndarray
 ) -> tuple[list[tuple[int, int]], int]:
@@ -385,7 +455,7 @@ def _flow_summary(
     # ``span ** 2`` stays far below the int64 limit.
     lo = int(min(srcs.min(), dsts.min()))
     span = int(max(srcs.max(), dsts.max())) - lo + 1
-    src, dst = np.divmod(np.unique((srcs - lo) * span + (dsts - lo)), span)
+    src, dst = np.divmod(_distinct((srcs - lo) * span + (dsts - lo)), span)
     edges = list(zip((src + lo).tolist(), (dst + lo).tolist()))
     # Every edge points forward (source < sink), so visiting sinks in
     # ascending order finalizes each source's depth before it is read.
@@ -437,6 +507,13 @@ def trace_dependences(
     conflicts = int(
         np.count_nonzero(shared & (reads != sizes) & (updates != sizes))
     )
+    if not conflicts:
+        # A flow edge or a rewrite sink joins two iterations at a written
+        # element, which is a conflict: an independent trace has neither.
+        return DependenceSummary(
+            conflicts=0, flow_edges=[], critical_path=1, max_distance=0,
+            sink_iterations=0,
+        )
 
     # Position of each access's previous write within its own group.
     is_write = kind == WRITE
@@ -456,7 +533,7 @@ def trace_dependences(
         flow_edges=edges,
         critical_path=critical,
         max_distance=int((dsts - srcs).max()) if len(dsts) else 0,
-        sink_iterations=len(np.union1d(dsts, it[rewrite])),
+        sink_iterations=len(_distinct(np.concatenate((dsts, it[rewrite])))),
     )
 
 
@@ -467,28 +544,33 @@ def _site_indices(site: AffineSite, n: int) -> np.ndarray:
 def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
     """Exact dependence test over affine sites, evaluated on ``[0, n)``.
 
-    For every (write, any) site pair on the same array, intersect the two
-    index progressions and look for an element touched at two *different*
-    iterations.  Progressions with non-zero stride are injective, so the
-    intersection is a vectorized exact computation, not a heuristic.
+    For every (write, any) site pair on the same array, look for an
+    element touched at two *different* iterations.  Two sites with one
+    non-zero stride ``s`` meet in closed form: ``s*i + o_a == s*j + o_b``
+    exactly when ``i - j == (o_b - o_a) / s``, so they share ``n - |delta|``
+    elements at distance ``|delta|`` or none.  Other stride pairs intersect
+    their two index progressions; progressions with non-zero stride are
+    injective, so the intersection is a vectorized exact computation, not
+    a heuristic.
     """
     conflicts = 0
     flow_srcs: list = [np.empty(0, dtype=np.int64)]
     flow_dsts: list = [np.empty(0, dtype=np.int64)]
     max_distance = 0
-    sinks: set[int] = set()
+    sinks: list = [np.empty(0, dtype=np.int64)]
 
     def note_pair(i_src: int, i_dst: int, is_flow: bool) -> None:
         nonlocal conflicts, max_distance
         conflicts += 1
         src, dst = min(i_src, i_dst), max(i_src, i_dst)
-        sinks.add(dst)
+        sinks.append([dst])
         max_distance = max(max_distance, dst - src)
         if is_flow and i_src < i_dst:
             flow_srcs.append([i_src])
             flow_dsts.append([i_dst])
 
-    # hot-path: site pairs, each tested with one vectorized intersection.
+    # hot-path: site pairs, each tested in closed form or with one
+    # vectorized intersection.
     for a in sites:
         if a.kind not in ("w", "u"):
             continue
@@ -523,6 +605,20 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
                     i_b = n - 1 if j < n - 1 else 0
                 note_pair(i_a, i_b, is_flow)
                 continue
+            if a.stride == b.stride:
+                # Iteration i of a meets iteration i - delta of b.
+                num = b.offset - a.offset
+                delta = num // a.stride
+                distance = abs(delta)
+                if num % a.stride or not 0 < distance < n:
+                    continue
+                conflicts += n - distance
+                sinks.append(np.arange(distance, n, dtype=np.int64))
+                max_distance = max(max_distance, distance)
+                if is_flow and delta < 0:
+                    flow_srcs.append(np.arange(n - distance, dtype=np.int64))
+                    flow_dsts.append(sinks[-1])
+                continue
             idx_a = _site_indices(a, n)
             idx_b = _site_indices(b, n)
             common, ia, ib = np.intersect1d(
@@ -534,7 +630,7 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
             srcs = np.minimum(ia[diff], ib[diff])
             dsts = np.maximum(ia[diff], ib[diff])
             conflicts += int(diff.sum())
-            sinks.update(int(d) for d in dsts)
+            sinks.append(dsts)
             max_distance = max(max_distance, int((dsts - srcs).max()))
             if is_flow:
                 reads_after = ib[diff] > ia[diff]
@@ -548,5 +644,5 @@ def affine_dependences(sites: list[AffineSite], n: int) -> DependenceSummary:
         flow_edges=edges,
         critical_path=critical,
         max_distance=max_distance,
-        sink_iterations=len(sinks),
+        sink_iterations=len(_distinct(np.concatenate(sinks))),
     )

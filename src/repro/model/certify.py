@@ -24,6 +24,16 @@ yields exact certificates acted on under ``--certify=hint``; a sampled
 probe of a large loop yields affine-model certificates, which are only
 reported: a data-dependent subscript can fit the affine model on the
 sample and still carry a dependence between unsampled iterations.
+
+The full probe stops early once SEQUENTIAL is out of reach
+(:func:`sequential_out_of_reach`): when an in-order prefix of ``i``
+iterations shows a conflict and a flow chain of depth ``d`` with
+``d + (n - i) < 0.9 n``, no later iteration can make the loop DOALL or
+SEQUENTIAL.  That certificate is an exact SPECULATE whose ``stats``
+and ``reason`` describe the prefix.  Iterations past the prefix never
+run under the probe, so a body that raises only there gets this exact
+certificate rather than an ``opaque`` one; neither is acted on, and the
+run raises with the engine's usual semantics.
 """
 
 from __future__ import annotations
@@ -128,6 +138,68 @@ def _speculate_hints(
     return "sw", window
 
 
+def sequential_out_of_reach(
+    deps: DependenceSummary, probed: int, n: int
+) -> bool:
+    """Whether an in-order prefix already settles a SPECULATE verdict.
+
+    ``deps`` scans the first ``probed`` of ``n`` iterations.  A conflict
+    in the prefix stays a conflict in the full trace, so DOALL is out.
+    Flow edges that end inside the prefix are the same in the full trace
+    (the prefix ran with sequential semantics), so a full chain holds at
+    most ``critical_path`` prefix iterations plus every later one.  When
+    that bound stays under the SEQUENTIAL threshold at ``n`` it does so at
+    every earlier exit ``m`` too: the slack ``probed - critical_path -
+    0.1 * m`` only grows as ``m`` shrinks.
+    """
+    return deps.conflicts > 0 and (
+        deps.critical_path + (n - probed) < _SEQUENTIAL_CHAIN_FRACTION * n
+    )
+
+
+def trace_verdict(
+    deps: DependenceSummary, executed: int, exit_at: int | None
+) -> tuple[str, str, str | None, int | None]:
+    """``(verdict, reason, strategy hint, window hint)`` from an exact scan
+    of the ``executed`` iterations a sequential probe ran (``exit_at`` is
+    the premature exit that ended it, if any)."""
+    if exit_at is not None and deps.conflicts == 0:
+        # A premature exit is unsound under the plain DOALL fast path
+        # (later iterations would already have written shared memory);
+        # sequential in-order execution handles it naturally.
+        return (
+            SPECULATE, f"independent but exits early at iteration {exit_at}",
+            "nrd", None,
+        )
+    if deps.conflicts == 0:
+        return (
+            DOALL,
+            "full sequential probe found no cross-iteration element sharing",
+            None, None,
+        )
+    if deps.critical_path >= max(2, _SEQUENTIAL_CHAIN_FRACTION * executed):
+        if exit_at is None:
+            reason = (
+                f"flow-dependence chain covers {deps.critical_path} of "
+                f"{executed} iterations"
+            )
+        else:
+            reason = (
+                f"flow chain covers {deps.critical_path} of {executed} "
+                f"executed iterations (exit at {exit_at})"
+            )
+        return SEQUENTIAL, reason, None, None
+    hint, window = _speculate_hints(deps, executed)
+    if exit_at is None:
+        reason = (
+            f"{deps.conflicts} conflicting element(s), chain "
+            f"{deps.critical_path}/{executed}"
+        )
+    else:
+        reason = f"{deps.conflicts} conflicting element(s) before exit"
+    return SPECULATE, reason, hint, window
+
+
 def certify_loop(
     loop: SpeculativeLoop,
     memory: MemoryImage | None = None,
@@ -174,7 +246,10 @@ def certify_loop(
     # can call exit_loop(), which the plain DOALL path must not absorb.
 
     try:
-        probe = probe_loop(loop, memory=memory, limit=probe_limit, sample=sample)
+        probe = probe_loop(
+            loop, memory=memory, limit=probe_limit, sample=sample,
+            settled=sequential_out_of_reach,
+        )
     except Exception as exc:  # noqa: BLE001 -- certification must be transparent
         # A body that raises (or otherwise breaks under probing) is not a
         # certification failure: fall through to the speculative machinery
@@ -186,60 +261,29 @@ def certify_loop(
         )
 
     if probe.full:
-        deps = trace_dependences(probe.trace, n)
-        stats = {
-            "probed": len(probe.iterations),
-            "conflicts": deps.conflicts,
-            "critical_path": deps.critical_path,
-            "max_distance": deps.max_distance,
-            "sink_iterations": deps.sink_iterations,
-        }
-        if probe.exit_at is not None:
-            # A premature exit is unsound under the plain DOALL fast path
-            # (later iterations would already have written shared memory);
-            # sequential in-order execution handles it naturally.
-            if deps.conflicts == 0:
-                return cert(
-                    SPECULATE, "trace", True,
-                    f"independent but exits early at iteration {probe.exit_at}",
-                    hint="nrd", exit_at=probe.exit_at, **stats,
-                )
-            executed = probe.exit_at + 1
-            if deps.critical_path >= max(
-                2, _SEQUENTIAL_CHAIN_FRACTION * executed
-            ):
-                return cert(
-                    SEQUENTIAL, "trace", True,
-                    f"flow chain covers {deps.critical_path} of {executed} "
-                    f"executed iterations (exit at {probe.exit_at})",
-                    exit_at=probe.exit_at, **stats,
-                )
-            hint, window = _speculate_hints(deps, executed)
-            return cert(
-                SPECULATE, "trace", True,
-                f"{deps.conflicts} conflicting element(s) before exit",
-                hint=hint, window=window, exit_at=probe.exit_at, **stats,
-            )
-        if deps.conflicts == 0:
-            return cert(
-                DOALL, "trace", True,
-                "full sequential probe found no cross-iteration "
-                "element sharing",
-                **stats,
-            )
-        if deps.critical_path >= max(2, _SEQUENTIAL_CHAIN_FRACTION * n):
-            return cert(
-                SEQUENTIAL, "trace", True,
-                f"flow-dependence chain covers {deps.critical_path} of "
-                f"{n} iterations",
-                **stats,
-            )
-        hint, window = _speculate_hints(deps, n)
+        probed = len(probe.iterations)
+        deps = probe.prefix
+        if deps is None:
+            deps = trace_dependences(probe.trace, n)
+            executed = n if probe.exit_at is None else probe.exit_at + 1
+        else:
+            executed = probed
+        stats = {} if probe.exit_at is None else {"exit_at": probe.exit_at}
+        stats.update(
+            probed=probed,
+            conflicts=deps.conflicts,
+            critical_path=deps.critical_path,
+            max_distance=deps.max_distance,
+            sink_iterations=deps.sink_iterations,
+        )
+        verdict, reason, hint, window = trace_verdict(
+            deps, executed, probe.exit_at
+        )
+        if probe.prefix is not None:
+            # SPECULATE: the prefix's chain is below 0.9 of the prefix too.
+            reason = f"prefix {probed}/{n}: {reason}"
         return cert(
-            SPECULATE, "trace", True,
-            f"{deps.conflicts} conflicting element(s), chain "
-            f"{deps.critical_path}/{n}",
-            hint=hint, window=window, **stats,
+            verdict, "trace", True, reason, hint=hint, window=window, **stats
         )
 
     # Sampled probe: affine-model evidence only.
